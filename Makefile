@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
+.PHONY: all build test test-budget race bench check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
 
 all: check
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 with each package held to its wall-time budget in
+# scripts/test_budgets.txt (see scripts/test_budget.sh).
+test-budget:
+	sh scripts/test_budget.sh
 
 # The experiments package takes ~5 min without -race and far longer with
 # it; the default 10m per-package timeout is not enough.
@@ -35,7 +40,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build race
+check: fmt vet build test-budget race
 
 # The verification gate every perf PR must pass: vet, race-enabled
 # tests (includes the differential oracles, metamorphic properties and

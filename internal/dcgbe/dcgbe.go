@@ -203,12 +203,10 @@ func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]in
 		if len(c.Workers) == 0 {
 			continue
 		}
-		for _, nc := range t.NeighborClusters(c.ID, 500) {
-			if nc <= c.ID {
-				continue // undirected: add once
-			}
-			other := t.Cluster(nc)
-			if len(other.Workers) == 0 {
+		// The clusters within 500 km, in Topology.NeighborClusters order,
+		// each pair once (undirected).
+		for _, other := range t.Clusters {
+			if other.ID <= c.ID || len(other.Workers) == 0 || t.DistanceKm(c.ID, other.ID) > 500 {
 				continue
 			}
 			edges = append(edges, [2]int{index[c.Workers[0]], index[other.Workers[0]]})
@@ -338,6 +336,8 @@ func (s *Scheduler) probsCached(at time.Duration, k cacheKey, x *nn.Mat, mask []
 }
 
 // choose samples from (or greedily maximizes over) the distribution.
+// Sampling never returns a masked (p = 0) node, even when rounding
+// leaves Σp below the drawn value.
 func (s *Scheduler) choose(probs []float64) int {
 	if !s.Explore {
 		best, bi := -1.0, 0
@@ -348,15 +348,7 @@ func (s *Scheduler) choose(probs []float64) int {
 		}
 		return bi
 	}
-	xv := s.rng.Float64()
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		if xv < acc {
-			return i
-		}
-	}
-	return len(probs) - 1
+	return rl.Sample(s.rng, probs)
 }
 
 // record books the transition, trains on schedule, and returns the pick.

@@ -1,6 +1,7 @@
 package dcgbe
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -266,5 +267,33 @@ func TestLearnsToAvoidOverloadedCluster(t *testing.T) {
 	t.Logf("tiny-node fraction of recent picks: %.2f (uniform would be 0.33)", frac)
 	if frac > 0.34 {
 		t.Fatalf("DCG-BE still overloads the tiny node: %.2f", frac)
+	}
+}
+
+// TestChooseNeverPicksMaskedNode pins the sampling fallback: when
+// rounding leaves Σp below the drawn value, choose returns the last node
+// with p > 0, not a trailing masked (down or unfit) node.
+func TestChooseNeverPicksMaskedNode(t *testing.T) {
+	_, e, _ := env(2)
+	s := New(e, 1)
+	s.rng = rand.New(rand.NewSource(11))
+	ref := rand.New(rand.NewSource(11)) // replays choose's one draw
+	probs := []float64{0.3, 0, 0.3, 0}  // Σp = 0.6; nodes 1 and 3 masked
+	fellBack := 0
+	for i := 0; i < 500; i++ {
+		x := ref.Float64()
+		got := s.choose(probs)
+		if probs[got] == 0 {
+			t.Fatalf("draw %v chose masked node %d", x, got)
+		}
+		if x >= 0.6 {
+			fellBack++
+			if got != 2 {
+				t.Fatalf("draw %v past Σp chose %d, want last positive node 2", x, got)
+			}
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no draw exercised the fallback")
 	}
 }

@@ -28,12 +28,30 @@ type Graph struct {
 
 // NewGraph builds a graph with n nodes and the given undirected edges.
 func NewGraph(n int, edges [][2]int) *Graph {
-	g := &Graph{N: n, Neigh: make([][]int, n)}
+	// Count degrees first so every neighbour list is a capped window of
+	// one backing array, filled in edge order.
+	deg := make([]int, n)
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if a < 0 || a >= n || b < 0 || b >= n {
 			panic(fmt.Sprintf("gnn: edge (%d,%d) out of range n=%d", a, b, n))
 		}
+		if a != b {
+			deg[a]++
+			deg[b]++
+		}
+	}
+	g := &Graph{N: n, Neigh: make([][]int, n)}
+	backing := make([]int, 2*len(edges))
+	off := 0
+	for i, d := range deg {
+		if d > 0 {
+			g.Neigh[i] = backing[off : off : off+d]
+			off += d
+		}
+	}
+	for _, e := range edges {
+		a, b := e[0], e[1]
 		if a == b {
 			continue
 		}
@@ -65,14 +83,21 @@ type sageLayer struct {
 	agg     *nn.Mat // cached aggregated input
 	samples [][]int // neighbours actually sampled this forward
 	counts  []float64
+	// Reused buffers: the backing store of samples, the pre-activation
+	// agg·W, W's per-call gradient, ∂L/∂agg and ∂L/∂in.
+	sampled          []int
+	z, dw, dAgg, dIn *nn.Mat
 }
 
 // SAGE is the GraphSAGE encoder: L layers of sample-and-mean-aggregate.
+// Forward returns a matrix owned by the encoder, valid until its next
+// Forward.
 type SAGE struct {
 	layers []*sageLayer
 	// P is the per-node neighbour sample size p (§5.3.2); 0 = all.
-	P   int
-	rng *rand.Rand
+	P    int
+	rng  *rand.Rand
+	perm []int // permutation scratch for sampling
 }
 
 // NewSAGE builds a GraphSAGE encoder with the given layer dimensions
@@ -104,18 +129,29 @@ func (s *SAGE) Params() []*nn.Param {
 	return ps
 }
 
-// sampleNeighbors picks at most p neighbours without replacement
-// (paper's sampling step). With p <= 0 all neighbours are used.
-func sampleNeighbors(neigh []int, p int, rng *rand.Rand) []int {
+// permInto fills buf[:n] with the permutation rng.Perm(n) would return,
+// making the same rng draws in the same order, and returns buf[:n].
+func permInto(buf []int, n int, rng *rand.Rand) []int {
+	m := buf[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// sampleInto appends at most p neighbours of neigh, picked without
+// replacement (the paper's sampling step), to dst. With p <= 0 all
+// neighbours are used. perm is scratch of at least len(neigh) ints.
+func sampleInto(dst, neigh []int, p int, rng *rand.Rand, perm []int) []int {
 	if p <= 0 || len(neigh) <= p {
-		return neigh
+		return append(dst, neigh...)
 	}
-	idx := rng.Perm(len(neigh))[:p]
-	out := make([]int, p)
-	for i, j := range idx {
-		out[i] = neigh[j]
+	for _, j := range permInto(perm, len(neigh), rng)[:p] {
+		dst = append(dst, neigh[j])
 	}
-	return out
+	return dst
 }
 
 // Forward implements Encoder.
@@ -123,14 +159,30 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 	if x.R != g.N {
 		panic(fmt.Sprintf("gnn: %d feature rows for %d nodes", x.R, g.N))
 	}
+	maxDeg := 0
+	for _, ns := range g.Neigh {
+		maxDeg = max(maxDeg, len(ns))
+	}
+	if len(s.perm) < maxDeg {
+		s.perm = make([]int, maxDeg)
+	}
 	h := x
 	for _, l := range s.layers {
 		l.g, l.in = g, h
-		l.samples = make([][]int, g.N)
-		l.counts = make([]float64, g.N)
-		agg := nn.NewMat(g.N, h.C)
+		if cap(l.samples) < g.N {
+			l.samples = make([][]int, g.N)
+			l.counts = make([]float64, g.N)
+		}
+		l.samples, l.counts = l.samples[:g.N], l.counts[:g.N]
+		l.sampled = l.sampled[:0]
+		l.agg = nn.Reuse(l.agg, g.N, h.C)
+		agg := l.agg
 		for i := 0; i < g.N; i++ {
-			ns := sampleNeighbors(g.Neigh[i], s.P, s.rng)
+			// Each node's samples are a capped window of one backing
+			// store; a window cut before the store grew keeps its values.
+			start := len(l.sampled)
+			l.sampled = sampleInto(l.sampled, g.Neigh[i], s.P, s.rng, s.perm)
+			ns := l.sampled[start:len(l.sampled):len(l.sampled)]
 			l.samples[i] = ns
 			cnt := float64(len(ns) + 1)
 			l.counts[i] = cnt
@@ -145,8 +197,8 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 				row[c] /= cnt
 			}
 		}
-		l.agg = agg
-		h = l.relu.Forward(nn.MatMul(agg, l.w.Val))
+		l.z = nn.Reuse(l.z, g.N, l.w.Val.C)
+		h = l.relu.Forward(nn.MatMulInto(l.z, agg, l.w.Val))
 	}
 	return h
 }
@@ -160,11 +212,18 @@ func (s *SAGE) Backward(dOut *nn.Mat) {
 			panic("gnn: SAGE.Backward before Forward")
 		}
 		dz := l.relu.Backward(d)
-		nn.AddInPlace(l.w.Grad, nn.MatMulTransA(l.agg, dz))
-		dAgg := nn.MatMulTransB(dz, l.w.Val)
+		l.dw = nn.Reuse(l.dw, l.w.Val.R, l.w.Val.C)
+		nn.AddInPlace(l.w.Grad, nn.MatMulTransAInto(l.dw, l.agg, dz))
+		if li == 0 {
+			break // the gradient w.r.t. the input features is unused
+		}
+		l.dAgg = nn.Reuse(l.dAgg, dz.R, l.w.Val.R)
+		dAgg := nn.MatMulTransBInto(l.dAgg, dz, l.w.Val)
 		// Distribute mean-aggregation gradient to self and sampled
 		// neighbours.
-		dIn := nn.NewMat(l.in.R, l.in.C)
+		l.dIn = nn.Reuse(l.dIn, l.in.R, l.in.C)
+		dIn := l.dIn
+		dIn.Zero()
 		for i := 0; i < l.g.N; i++ {
 			inv := 1.0 / l.counts[i]
 			src := dAgg.Row(i)

@@ -43,6 +43,10 @@ func TestNewGraph(t *testing.T) {
 func TestSampleNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	neigh := []int{1, 2, 3, 4, 5}
+	perm := make([]int, len(neigh))
+	sampleNeighbors := func(neigh []int, p int, rng *rand.Rand) []int {
+		return sampleInto(nil, neigh, p, rng, perm)
+	}
 	got := sampleNeighbors(neigh, 3, rng)
 	if len(got) != 3 {
 		t.Fatalf("sampled %d, want 3", len(got))

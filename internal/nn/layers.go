@@ -19,6 +19,10 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Layer is one differentiable stage: Forward caches what Backward needs;
 // Backward consumes dOut (∂L/∂output) and returns ∂L/∂input while
 // accumulating parameter gradients.
+//
+// Dense and ReLU return matrices they own: a result stays valid until
+// the same layer's next Forward (for Forward results) or Backward (for
+// Backward results), and callers that need it longer copy it.
 type Layer interface {
 	Forward(x *Mat) *Mat
 	Backward(dOut *Mat) *Mat
@@ -29,6 +33,9 @@ type Layer interface {
 type Dense struct {
 	W, B *Param
 	x    *Mat // cached input
+	// Layer-owned buffers: the forward output, ∂L/∂x and the per-call
+	// xᵀ·dOut that is added into W.Grad.
+	y, dx, dw *Mat
 }
 
 // NewDense creates a Dense layer with Xavier-initialized weights.
@@ -44,7 +51,8 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // Forward computes xW + b for a batch x (rows = samples).
 func (d *Dense) Forward(x *Mat) *Mat {
 	d.x = x
-	out := MatMul(x, d.W.Val)
+	d.y = Reuse(d.y, x.R, d.W.Val.C)
+	out := MatMulInto(d.y, x, d.W.Val)
 	for i := 0; i < out.R; i++ {
 		row := out.Row(i)
 		for j, b := range d.B.Val.Data {
@@ -56,17 +64,33 @@ func (d *Dense) Forward(x *Mat) *Mat {
 
 // Backward accumulates dW = xᵀ·dOut, dB = Σrows dOut, returns dOut·Wᵀ.
 func (d *Dense) Backward(dOut *Mat) *Mat {
+	d.accumGrads(dOut)
+	d.dx = Reuse(d.dx, dOut.R, d.W.Val.R)
+	return MatMulTransBInto(d.dx, dOut, d.W.Val)
+}
+
+// backwardGated is Backward followed by r.Backward, for the ReLU r that
+// produced this layer's input: ∂L/∂x is computed only where r's mask is
+// set and is +0 elsewhere, exactly what r.Backward would leave. The
+// result is owned by d.
+func (d *Dense) backwardGated(dOut *Mat, r *ReLU) *Mat {
+	d.accumGrads(dOut)
+	d.dx = Reuse(d.dx, dOut.R, d.W.Val.R)
+	return matMulTransBMasked(d.dx, dOut, d.W.Val, r.mask)
+}
+
+func (d *Dense) accumGrads(dOut *Mat) {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	AddInPlace(d.W.Grad, MatMulTransA(d.x, dOut))
+	d.dw = Reuse(d.dw, d.W.Val.R, d.W.Val.C)
+	AddInPlace(d.W.Grad, MatMulTransAInto(d.dw, d.x, dOut))
 	for i := 0; i < dOut.R; i++ {
 		row := dOut.Row(i)
 		for j, v := range row {
 			d.B.Grad.Data[j] += v
 		}
 	}
-	return MatMulTransB(dOut, d.W.Val)
 }
 
 // Params returns the layer's trainables.
@@ -74,19 +98,22 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask []bool
+	mask  []bool
+	y, dx *Mat // layer-owned Forward and Backward results
 }
 
 // Forward zeroes negatives and remembers the active mask.
 func (r *ReLU) Forward(x *Mat) *Mat {
-	out := x.Clone()
+	r.y = Reuse(r.y, x.R, x.C)
+	out := r.y
 	if cap(r.mask) < len(out.Data) {
 		r.mask = make([]bool, len(out.Data))
 	}
 	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
+	for i, v := range x.Data {
 		if v > 0 {
 			r.mask[i] = true
+			out.Data[i] = v
 		} else {
 			r.mask[i] = false
 			out.Data[i] = 0
@@ -97,9 +124,12 @@ func (r *ReLU) Forward(x *Mat) *Mat {
 
 // Backward gates the gradient by the forward mask.
 func (r *ReLU) Backward(dOut *Mat) *Mat {
-	out := dOut.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
+	r.dx = Reuse(r.dx, dOut.R, dOut.C)
+	out := r.dx
+	for i, v := range dOut.Data {
+		if r.mask[i] {
+			out.Data[i] = v
+		} else {
 			out.Data[i] = 0
 		}
 	}
@@ -139,8 +169,11 @@ func (t *Tanh) Params() []*Param { return nil }
 
 // MLP is a feed-forward stack: Dense→ReLU repeated, final Dense linear.
 // The paper's actor and critic are MLPs with hidden sizes 256/128/32.
+// Forward and Backward results are owned by the stack's outermost
+// layers (see Layer).
 type MLP struct {
 	layers []Layer
+	params []*Param
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g.
@@ -156,6 +189,10 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 			m.layers = append(m.layers, &ReLU{})
 		}
 	}
+	for _, l := range m.layers {
+		m.params = append(m.params, l.Params()...)
+	}
+	m.params = m.params[:len(m.params):len(m.params)] // appends copy
 	return m
 }
 
@@ -167,26 +204,30 @@ func (m *MLP) Forward(x *Mat) *Mat {
 	return x
 }
 
-// Backward runs the stack in reverse, returning ∂L/∂input.
+// Backward runs the stack in reverse, returning ∂L/∂input. Each Dense
+// above a ReLU computes its input gradient through that ReLU's mask in
+// one pass.
 func (m *MLP) Backward(dOut *Mat) *Mat {
 	for i := len(m.layers) - 1; i >= 0; i-- {
+		if d, ok := m.layers[i].(*Dense); ok && i > 0 {
+			if r, ok := m.layers[i-1].(*ReLU); ok {
+				dOut = d.backwardGated(dOut, r)
+				i--
+				continue
+			}
+		}
 		dOut = m.layers[i].Backward(dOut)
 	}
 	return dOut
 }
 
-// Params collects all trainables.
-func (m *MLP) Params() []*Param {
-	var ps []*Param
-	for _, l := range m.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns all trainables, in layer order. The slice is shared:
+// callers may append to it but must not assign its elements.
+func (m *MLP) Params() []*Param { return m.params }
 
 // ZeroGrad clears all parameter gradients.
 func (m *MLP) ZeroGrad() {
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		p.ZeroGrad()
 	}
 }

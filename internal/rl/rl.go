@@ -41,6 +41,13 @@ type A2C struct {
 
 	opt *nn.Adam
 	rng *rand.Rand
+
+	// Reused across calls: the trainables, and Update's per-transition
+	// scratch.
+	ps             []*nn.Param
+	returns, probs []float64
+	pooled, dV     *nn.Mat
+	dLogits, dEmb  *nn.Mat
 }
 
 // NewA2C builds the agent for embDim-sized encoder outputs.
@@ -53,6 +60,7 @@ func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
 		Entropy: 0.01,
 		opt:     nn.NewAdam(LearningRate),
 		rng:     rng,
+		dV:      nn.NewMat(1, 1),
 	}
 }
 
@@ -62,24 +70,21 @@ func (a *A2C) SetLR(lr float64) { a.opt.LR = lr }
 
 // params returns all trainables (encoder + heads).
 func (a *A2C) params() []*nn.Param {
-	ps := a.Enc.Params()
-	ps = append(ps, a.Actor.Params()...)
-	ps = append(ps, a.Critic.Params()...)
-	return ps
+	if a.ps == nil {
+		a.ps = append(append(a.Enc.Params(), a.Actor.Params()...), a.Critic.Params()...)
+	}
+	return a.ps
 }
 
-// Logits computes masked per-node action logits for the state.
+// logits computes per-node action logits for the state. The slice is
+// the actor's output buffer, valid until its next Forward.
 func (a *A2C) logits(g *gnn.Graph, x *nn.Mat) []float64 {
 	emb := a.Enc.Forward(g, x)
-	out := a.Actor.Forward(emb)
-	logits := make([]float64, g.N)
-	for i := 0; i < g.N; i++ {
-		logits[i] = out.At(i, 0)
-	}
-	return logits
+	return a.Actor.Forward(emb).Data // N×1: one logit per node
 }
 
-// Probs returns the masked action distribution π(a|s).
+// Probs returns the masked action distribution π(a|s), in a new slice
+// the caller owns.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 	return nn.SoftmaxRow(a.logits(g, x), mask)
 }
@@ -87,7 +92,7 @@ func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 // SelectAction samples from the masked policy.
 func (a *A2C) SelectAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
 	p := a.Probs(g, x, mask)
-	return sample(a.rng, p)
+	return Sample(a.rng, p)
 }
 
 // GreedyAction returns argmax of the masked policy.
@@ -105,7 +110,13 @@ func (a *A2C) GreedyAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
 // Value estimates V(s) from the mean-pooled embedding.
 func (a *A2C) Value(g *gnn.Graph, x *nn.Mat) float64 {
 	emb := a.Enc.Forward(g, x)
-	return a.Critic.Forward(nn.MeanRows(emb)).At(0, 0)
+	return a.Critic.Forward(a.pool(emb)).At(0, 0)
+}
+
+// pool writes the mean of emb's rows into the reused pooled buffer.
+func (a *A2C) pool(emb *nn.Mat) *nn.Mat {
+	a.pooled = nn.Reuse(a.pooled, 1, emb.C)
+	return nn.MeanRowsInto(a.pooled, emb)
 }
 
 // Stats summarizes one update.
@@ -113,6 +124,15 @@ type Stats struct {
 	PolicyLoss float64
 	ValueLoss  float64
 	Entropy    float64
+}
+
+// grow returns buf resliced to n values, reallocating only when its
+// capacity is short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Update performs one A2C step over a trajectory of transitions using
@@ -124,7 +144,8 @@ func (a *A2C) Update(batch []Transition) Stats {
 	}
 	// Compute returns back-to-front, bootstrapping with the value of the
 	// last state (continuing task).
-	returns := make([]float64, len(batch))
+	a.returns = grow(a.returns, len(batch))
+	returns := a.returns
 	last := batch[len(batch)-1]
 	run := a.Value(last.Graph, last.X)
 	for i := len(batch) - 1; i >= 0; i-- {
@@ -142,20 +163,16 @@ func (a *A2C) Update(batch []Transition) Stats {
 		}
 		// Forward pass (fresh caches for this transition).
 		emb := a.Enc.Forward(tr.Graph, tr.X)
-		logitsM := a.Actor.Forward(emb)
-		logits := make([]float64, tr.Graph.N)
-		for j := range logits {
-			logits[j] = logitsM.At(j, 0)
-		}
-		probs := nn.SoftmaxRow(logits, tr.Mask)
+		logits := a.Actor.Forward(emb).Data
+		a.probs = grow(a.probs, len(logits))
+		probs := nn.SoftmaxRowInto(a.probs, logits, tr.Mask)
 
-		pooled := nn.MeanRows(emb)
-		v := a.Critic.Forward(pooled).At(0, 0)
+		v := a.Critic.Forward(a.pool(emb)).At(0, 0)
 		adv := returns[i] - v
 
 		// Critic gradient: d/dv of (ret - v)^2 = -2 adv.
-		dV := nn.FromSlice(1, 1, []float64{-2 * adv / float64(len(batch))})
-		dPooled := a.Critic.Backward(dV)
+		a.dV.Data[0] = -2 * adv / float64(len(batch))
+		dPooled := a.Critic.Backward(a.dV)
 
 		// Actor gradient: policy-gradient through masked softmax plus
 		// entropy bonus. dL/dlogit_j = (π_j − 1{j=a})·A − β·dH/dlogit_j,
@@ -167,11 +184,13 @@ func (a *A2C) Update(batch []Transition) Stats {
 			}
 		}
 		st.Entropy += ent
-		dLogits := nn.NewMat(tr.Graph.N, 1)
+		a.dLogits = nn.Reuse(a.dLogits, tr.Graph.N, 1)
+		dLogits := a.dLogits
 		scale := 1.0 / float64(len(batch))
 		for j, p := range probs {
 			if tr.Mask != nil && !tr.Mask[j] {
-				continue // masked logits receive no gradient
+				dLogits.Data[j] = 0 // masked logits receive no gradient
+				continue
 			}
 			g := p * adv
 			if j == tr.Action {
@@ -181,17 +200,18 @@ func (a *A2C) Update(batch []Transition) Stats {
 			if p > 0 {
 				g += a.Entropy * p * (math.Log(p) + ent)
 			}
-			dLogits.Set(j, 0, g*scale)
+			dLogits.Data[j] = g * scale
 		}
 		dEmbActor := a.Actor.Backward(dLogits)
 
 		// Combine embedding gradients: actor path + critic pooled path.
-		dEmb := dEmbActor.Clone()
+		a.dEmb = nn.Reuse(a.dEmb, dEmbActor.R, dEmbActor.C)
+		dEmb := a.dEmb
 		inv := 1.0 / float64(emb.R)
 		for r := 0; r < emb.R; r++ {
-			row := dEmb.Row(r)
-			for c := range row {
-				row[c] += dPooled.At(0, c) * inv
+			row, src := dEmb.Row(r), dEmbActor.Row(r)
+			for c, v := range src {
+				row[c] = v + dPooled.Data[c]*inv
 			}
 		}
 		a.Enc.Backward(dEmb)
@@ -207,12 +227,21 @@ func (a *A2C) Update(batch []Transition) Stats {
 	return st
 }
 
-func sample(rng *rand.Rand, probs []float64) int {
+// Sample draws an index from the distribution probs with one
+// rng.Float64() draw, by inverse CDF. When rounding leaves Σp below the
+// draw it returns the last index with p > 0 — never a masked-out
+// (p = 0) entry — and len(probs)-1 only if every p is zero.
+func Sample(rng *rand.Rand, probs []float64) int {
 	x := rng.Float64()
 	acc := 0.0
 	for i, p := range probs {
 		acc += p
 		if x < acc {
+			return i
+		}
+	}
+	for i := len(probs) - 1; i >= 0; i-- {
+		if probs[i] > 0 {
 			return i
 		}
 	}
@@ -284,7 +313,7 @@ func (s *SAC) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 
 // SelectAction samples from the masked policy.
 func (s *SAC) SelectAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
-	return sample(s.rng, s.Probs(g, x, mask))
+	return Sample(s.rng, s.Probs(g, x, mask))
 }
 
 // Update performs one SAC step over consecutive transitions (each next

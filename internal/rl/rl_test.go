@@ -198,7 +198,7 @@ func TestSampleDistribution(t *testing.T) {
 	p := []float64{0.1, 0.7, 0.2}
 	counts := make([]int, 3)
 	for i := 0; i < 10000; i++ {
-		counts[sample(rng, p)]++
+		counts[Sample(rng, p)]++
 	}
 	if counts[1] < 6500 || counts[1] > 7500 {
 		t.Fatalf("sample counts %v", counts)

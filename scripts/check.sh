@@ -19,6 +19,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== go test (per-package time budgets) =="
+# Tier-1 without -race, each package held to its recorded wall-time
+# budget (scripts/test_budgets.txt) so the suite cannot creep back
+# towards Go's 10-minute per-package timeout.
+sh scripts/test_budget.sh
+
 echo "== go test -race (sharded scheduler fail-fast) =="
 # Same packages as `make race-shard`: the concurrent shard solves are
 # the likeliest place for a fresh data race, so surface one in seconds
