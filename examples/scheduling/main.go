@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dcgbe"
-	"repro/internal/dsslc"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -46,7 +45,7 @@ func main() {
 	fmt.Println("LC scheduler comparison (BE fixed to round-robin):")
 	lcT := metrics.NewTable("", "LC algorithm", "QoS rate", "mean latency ms", "abandoned")
 	for _, mk := range []func(e *engine.Engine, seed int64) any{
-		func(e *engine.Engine, seed int64) any { return dsslc.New(e, seed) },
+		nil, // core's default LC scheduler: DSS-LC
 		func(e *engine.Engine, seed int64) any { return sched.NewScoring(e.Topology()) },
 		func(e *engine.Engine, seed int64) any { return sched.LoadGreedy{} },
 		rr,

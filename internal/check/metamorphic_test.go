@@ -81,7 +81,8 @@ func scheduleCounts(t *testing.T, rttScale time.Duration, batchSeed int64, permu
 		rng := rand.New(rand.NewSource(batchSeed + 7))
 		rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 	}
-	a := sched.ScheduleBatch(0, reqs)
+	a := dsslc.Assignment{}
+	sched.ScheduleBatchInto(0, reqs, a)
 	if len(a) != n {
 		t.Fatalf("assigned %d of %d requests", len(a), n)
 	}

@@ -1,22 +1,25 @@
 // Package core is the Tango framework itself (§3, Figure 3): it wires
 // the LC traffic dispatcher on every master node, the centralized BE
-// traffic dispatcher on the central cluster, the state storage fed by
-// the metrics pipeline, the QoS detector / re-assurer, the D-VPA-backed
-// resource policy and the execution engine into one runnable System.
+// traffic dispatcher on the central cluster, the metrics pipeline, the
+// QoS detector / re-assurer, the D-VPA-backed resource policy and the
+// execution engine into one runnable System.
 //
 // The System follows the paper's dispatch–allocate–adjust operation:
 // (1) arriving requests enter the LC or BE scheduling queue of their
-// cluster's master; LC requests are dispatched by the local DSS-LC
-// dispatcher while BE requests are forwarded to the central cluster and
-// dispatched by DCG-BE; (2) on the worker, the resource policy (HRM
-// regulations through D-VPA) allocates the minimum required resources
-// and reclaims them at completion; (3) the QoS detector feeds the
-// re-assurance mechanism, which adjusts the per-node minimum
-// allocations.
+// cluster's master; each dispatcher round hands every master's LC queue
+// to the LC scheduler through its one entry point,
+// LCScheduler.ScheduleRound (DSS-LC by default), while BE requests are
+// forwarded to the central cluster and dispatched by DCG-BE; (2) on the
+// worker, the resource policy (HRM regulations through D-VPA) allocates
+// the minimum required resources and reclaims them at completion; (3)
+// the QoS detector feeds the re-assurance mechanism, which adjusts the
+// per-node minimum allocations. Both dispatchers decide on live engine
+// state: a request sees every earlier dispatch of its round.
 //
 // Every component is swappable, which is how the baseline systems
 // (native K8s, CERES, DSACO) and the Figure 12 algorithm pairings are
-// expressed.
+// expressed: the algorithm behind the one LC entry point changes, the
+// dispatcher around it does not.
 package core
 
 import (
@@ -36,23 +39,19 @@ import (
 	"repro/internal/sched"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/state"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
-// BatchLCScheduler is the batched dispatch interface DSS-LC provides.
-type BatchLCScheduler interface {
-	ScheduleBatch(c topo.ClusterID, reqs []*engine.Request) dsslc.Assignment
-	Name() string
-}
-
-// BatchLCIntoScheduler is the allocation-free variant: the dispatcher
-// hands in a reusable assignment map instead of receiving a fresh one
-// per round. Schedulers implementing it (DSS-LC does) are preferred by
-// dispatch.
-type BatchLCIntoScheduler interface {
-	ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, out dsslc.Assignment)
+// LCScheduler is core's one LC dispatch entry point. Every dispatcher
+// round hands it one batch per unstalled master queue; it writes each
+// chosen worker into out and calls deliver once per batch after that
+// batch's assignments are in out. deliver dispatches the assigned
+// requests and requeues the rest at their master. DSS-LC
+// (*shard.Scheduler, one shard unless Options.LCShards says otherwise)
+// implements it directly; core.New adapts the other scheduler shapes.
+type LCScheduler interface {
+	ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch))
 	Name() string
 }
 
@@ -70,9 +69,13 @@ type Options struct {
 
 	// Policy is the node resource policy; nil = HRM regulations.
 	Policy engine.Policy
-	// MakeLC builds the LC scheduler; nil = DSS-LC.
+	// MakeLC builds the LC scheduler: an LCScheduler, a per-master batch
+	// scheduler (ScheduleBatchInto and Name, as *dsslc.Scheduler) or a
+	// one-request sched.Scheduler. nil = DSS-LC. core.New panics on any
+	// other type.
 	MakeLC func(e *engine.Engine, seed int64) any
-	// MakeBE builds the BE scheduler; nil = DCG-BE.
+	// MakeBE builds the BE scheduler, a sched.Scheduler; nil = DCG-BE.
+	// core.New panics on any other type.
 	MakeBE func(e *engine.Engine, seed int64) any
 
 	// Reassure enables the QoS re-assurance mechanism (§4.3).
@@ -91,13 +94,14 @@ type Options struct {
 	Period time.Duration
 	// LCAbandonFactor forwards to engine.Config.
 	LCAbandonFactor float64
-	// GeoRadiusKm bounds LC candidate clusters (footnote 4).
+	// GeoRadiusKm bounds LC candidate clusters (footnote 4) of the
+	// default DSS-LC and of one-request LC schedulers; 0 = 500 km.
 	GeoRadiusKm float64
-	// LCShards > 1 partitions the topology into that many geographic
-	// shards (internal/shard) and solves their DSS-LC instances
-	// concurrently, with a sequential cross-shard overflow pass; 0 or 1
-	// keeps the single global DSS-LC dispatcher. Applies only when
-	// MakeLC is nil.
+	// LCShards is the number of geographic shards (internal/shard) the
+	// default DSS-LC partitions the topology into. Shards solve
+	// concurrently, followed by a sequential cross-shard overflow pass.
+	// 0 or 1 is the single global DSS-LC, which is the one-shard case of
+	// the same scheduler. Applies only when MakeLC is nil.
 	LCShards int
 	// LCShardWorkers bounds the shard solve pool (0 = GOMAXPROCS).
 	LCShardWorkers int
@@ -170,22 +174,20 @@ type System struct {
 	Engine  *engine.Engine
 	Catalog *trace.Catalog
 
-	lcSched   any
-	beSched   any
+	lcSched   LCScheduler
+	beSched   sched.Scheduler
 	reassurer *hrm.ReAssurer
 	booster   *hrm.Booster
-	storage   *state.Storage
 	observers []func(engine.Outcome)
 
 	opts Options
 
 	lcQueues map[topo.ClusterID][]*engine.Request
-	lcAssign dsslc.Assignment // reused per dispatch round, cleared between uses
-	// shardBatches is the reused per-round batch list of the sharded
-	// LC dispatcher.
-	shardBatches []shard.Batch
-	beQueue      []*engine.Request
-	central      topo.ClusterID
+	// lcBatches and lcAssign are reused by every dispatch round.
+	lcBatches []shard.Batch
+	lcAssign  dsslc.Assignment
+	beQueue   []*engine.Request
+	central   topo.ClusterID
 
 	Metrics *Collector
 	// Tracer is non-nil when Options.TraceSink was set.
@@ -241,6 +243,7 @@ func New(o Options) *System {
 		Catalog:  o.Catalog,
 		opts:     o,
 		lcQueues: map[topo.ClusterID][]*engine.Request{},
+		lcAssign: dsslc.Assignment{},
 		central:  o.Topo.CentralCluster().ID,
 	}
 	s.Metrics = NewCollector(o.Period)
@@ -262,36 +265,29 @@ func New(o Options) *System {
 		Prof:            o.Profiler,
 	})
 	if o.MakeLC == nil {
-		if o.LCShards > 1 {
-			o.MakeLC = func(e *engine.Engine, seed int64) any {
-				return shard.New(e, seed, o.LCShards, o.LCShardWorkers)
-			}
-		} else {
-			o.MakeLC = func(e *engine.Engine, seed int64) any { return dsslc.New(e, seed) }
+		o.MakeLC = func(e *engine.Engine, seed int64) any {
+			return shard.New(e, seed, o.LCShards, o.LCShardWorkers)
 		}
 	}
 	if o.MakeBE == nil {
 		o.MakeBE = func(e *engine.Engine, seed int64) any { return dcgbe.New(e, seed) }
 	}
-	s.lcSched = o.MakeLC(s.Engine, o.Seed)
-	s.beSched = o.MakeBE(s.Engine, o.Seed+1)
-	if lc, ok := s.lcSched.(*dsslc.Scheduler); ok {
-		lc.Tracer = s.Tracer
-		lc.Prof = o.Profiler
-		lc.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
+	s.lcSched = s.asLCScheduler(o.MakeLC(s.Engine, o.Seed))
+	be := o.MakeBE(s.Engine, o.Seed+1)
+	bs, ok := be.(sched.Scheduler)
+	if !ok {
+		panic(fmt.Sprintf("core: BE scheduler %T implements no known interface", be))
+	}
+	s.beSched = bs
+	if o.Verify {
+		s.Verifier = check.NewVerifier(s.Sim.Now)
 	}
 	if sh, ok := s.lcSched.(*shard.Scheduler); ok {
 		sh.GeoRadiusKm = o.GeoRadiusKm
 		sh.Tracer = s.Tracer
 		sh.Prof = o.Profiler
 		sh.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
-	}
-	if o.Verify {
-		s.Verifier = check.NewVerifier(s.Sim.Now)
-		if lc, ok := s.lcSched.(*dsslc.Scheduler); ok {
-			lc.OnSolve = s.Verifier.FlowHook()
-		}
-		if sh, ok := s.lcSched.(*shard.Scheduler); ok {
+		if s.Verifier != nil {
 			sh.OnSolve = s.Verifier.FlowHook()
 		}
 	}
@@ -314,12 +310,6 @@ func New(o Options) *System {
 	// feed it from the re-assurer's windows when both are present.
 	if be, ok := s.beSched.(*dcgbe.Scheduler); ok && s.reassurer != nil {
 		be.SlackFn = s.nodeSlack
-	}
-	// The state storage (Fig. 3 ➋) receives Prometheus pushes and the
-	// QoS detector's slack scores every 100 ms.
-	s.storage = state.New(s.Engine)
-	if s.reassurer != nil {
-		s.storage.SlackFn = s.nodeSlack
 	}
 	if o.Chaos != nil {
 		gen := trace.GenConfig{Catalog: o.Catalog, LCRatePerSec: 60, BERatePerSec: 25}
@@ -350,8 +340,62 @@ func New(o Options) *System {
 	return s
 }
 
-// StateStorage exposes the masters' state storage (Fig. 3 ➋).
-func (s *System) StateStorage() *state.Storage { return s.storage }
+// asLCScheduler converts MakeLC's product into the LC entry point.
+func (s *System) asLCScheduler(v any) LCScheduler {
+	switch lc := v.(type) {
+	case LCScheduler:
+		return lc
+	case batchScheduler:
+		return batchLC{lc}
+	case sched.Scheduler:
+		return pickLC{lc, s}
+	}
+	panic(fmt.Sprintf("core: LC scheduler %T implements no known interface", v))
+}
+
+// batchScheduler schedules one master's LC queue per call, as
+// *dsslc.Scheduler does.
+type batchScheduler interface {
+	ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, out dsslc.Assignment)
+	Name() string
+}
+
+// batchLC adapts a batchScheduler: each batch is scheduled into a
+// cleared out, so out holds only that batch's assignments, then
+// delivered.
+type batchLC struct{ batchScheduler }
+
+func (b batchLC) ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch)) {
+	for _, bt := range batches {
+		clear(out)
+		b.ScheduleBatchInto(bt.Cluster, bt.Reqs, out)
+		deliver(bt)
+	}
+}
+
+// pickLC adapts a one-request sched.Scheduler. Candidates are gathered
+// once per batch, and each request is delivered as soon as it is
+// picked, so every pick sees the previous one dispatched.
+type pickLC struct {
+	sched.Scheduler
+	sys *System
+}
+
+func (p pickLC) ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch)) {
+	s := p.sys
+	for _, b := range batches {
+		cands := sched.CandidatesLC(s.Engine, b.Cluster, s.opts.GeoRadiusKm)
+		for i, r := range b.Reqs {
+			if nid, ok := p.Pick(r, cands); ok {
+				if id := sched.Audit(s.Tracer, p.Scheduler, r, cands, nid, ok); id >= 0 {
+					s.SLO.NoteDecision(id, s.Sim.Now())
+				}
+				out[r.ID] = nid
+			}
+			deliver(shard.Batch{Cluster: b.Cluster, Reqs: b.Reqs[i : i+1]})
+		}
+	}
+}
 
 // nodeSlack returns the worst (minimum) slack score over the LC services
 // observed on the node in the current window, 0 when nothing is known.
@@ -375,17 +419,10 @@ func (s *System) nodeSlack(id topo.NodeID) float64 {
 func (s *System) ReAssurer() *hrm.ReAssurer { return s.reassurer }
 
 // LCSchedulerName reports the LC algorithm in use.
-func (s *System) LCSchedulerName() string { return schedName(s.lcSched) }
+func (s *System) LCSchedulerName() string { return s.lcSched.Name() }
 
 // BESchedulerName reports the BE algorithm in use.
-func (s *System) BESchedulerName() string { return schedName(s.beSched) }
-
-func schedName(v any) string {
-	if n, ok := v.(interface{ Name() string }); ok {
-		return n.Name()
-	}
-	return fmt.Sprintf("%T", v)
-}
+func (s *System) BESchedulerName() string { return s.beSched.Name() }
 
 func (s *System) onOutcome(o engine.Outcome) {
 	s.Metrics.observe(o)
@@ -437,7 +474,6 @@ func (s *System) accept(tr trace.Request) {
 func (s *System) Start() {
 	s.periodics = append(s.periodics, s.Sim.Every(s.opts.DispatchEvery, s.dispatch))
 	s.periodics = append(s.periodics, s.Sim.Every(s.opts.Period, s.collectorTick))
-	s.periodics = append(s.periodics, s.storage.Start(s.Sim))
 	if s.Chaos != nil {
 		s.Chaos.Arm()
 	}
@@ -507,100 +543,37 @@ func (s *System) flushLeftovers() {
 	s.Engine.DisplaceFailed(leftovers)
 }
 
-// dispatch is one dispatcher round over all LC queues and the BE queue.
+// dispatch is one dispatcher round: every unstalled master's LC queue
+// goes to the LC scheduler as one batch, then the BE queue drains.
 func (s *System) dispatch() {
 	s.opts.Profiler.Enter(perf.PhaseEngineDispatch)
 	defer s.opts.Profiler.Exit(perf.PhaseEngineDispatch)
-	if sh, ok := s.lcSched.(*shard.Scheduler); ok {
-		// Sharded LC: one coordinated round over every master's queue.
-		s.dispatchSharded(sh)
-		s.dispatchBE()
-		return
-	}
-	// LC: each master dispatches its own queue (distributed decisions).
+	s.lcBatches = s.lcBatches[:0]
 	for _, c := range s.Topo.Clusters {
 		q := s.lcQueues[c.ID]
 		if len(q) == 0 || s.masterStalled(c.ID) {
 			continue
 		}
 		s.lcQueues[c.ID] = nil
-		switch lc := s.lcSched.(type) {
-		case BatchLCIntoScheduler:
-			if s.lcAssign == nil {
-				s.lcAssign = make(dsslc.Assignment, len(q))
-			} else {
-				clear(s.lcAssign)
-			}
-			a := s.lcAssign
-			lc.ScheduleBatchInto(c.ID, q, a)
-			for _, r := range q {
-				if nid, ok := a[r.ID]; ok {
-					s.Engine.Dispatch(r, nid)
-				} else {
-					s.requeueLC(c.ID, r)
-				}
-			}
-		case BatchLCScheduler:
-			a := lc.ScheduleBatch(c.ID, q)
-			for _, r := range q {
-				if nid, ok := a[r.ID]; ok {
-					s.Engine.Dispatch(r, nid)
-				} else {
-					s.requeueLC(c.ID, r)
-				}
-			}
-		case sched.Scheduler:
-			cands := sched.CandidatesLC(s.Engine, c.ID, s.opts.GeoRadiusKm)
-			for _, r := range q {
-				if nid, ok := lc.Pick(r, cands); ok {
-					if id := sched.Audit(s.Tracer, lc, r, cands, nid, ok); id >= 0 {
-						s.SLO.NoteDecision(id, s.Sim.Now())
-					}
-					s.Engine.Dispatch(r, nid)
-				} else {
-					s.requeueLC(c.ID, r)
-				}
-			}
-		default:
-			panic(fmt.Sprintf("core: LC scheduler %T implements no known interface", s.lcSched))
-		}
+		s.lcBatches = append(s.lcBatches, shard.Batch{Cluster: c.ID, Reqs: q})
+	}
+	if len(s.lcBatches) > 0 {
+		clear(s.lcAssign)
+		s.lcSched.ScheduleRound(s.lcBatches, s.lcAssign, s.deliver)
 	}
 	s.dispatchBE()
 }
 
-// dispatchSharded runs one shard-parallel LC round: every non-empty
-// master queue becomes a batch, batches are scheduled by the sharded
-// layer, and each batch is dispatched through the deliver callback —
-// immediately after its solve in single-shard mode (the exact unsharded
-// interleave), after the join and overflow pass otherwise.
-func (s *System) dispatchSharded(sh *shard.Scheduler) {
-	s.shardBatches = s.shardBatches[:0]
-	for _, c := range s.Topo.Clusters {
-		q := s.lcQueues[c.ID]
-		if len(q) == 0 || s.masterStalled(c.ID) {
-			continue
+// deliver dispatches one batch's assigned requests and requeues the
+// rest at their master.
+func (s *System) deliver(b shard.Batch) {
+	for _, r := range b.Reqs {
+		if nid, ok := s.lcAssign[r.ID]; ok {
+			s.Engine.Dispatch(r, nid)
+		} else {
+			s.requeueLC(b.Cluster, r)
 		}
-		s.lcQueues[c.ID] = nil
-		s.shardBatches = append(s.shardBatches, shard.Batch{Cluster: c.ID, Reqs: q})
 	}
-	if len(s.shardBatches) == 0 {
-		return
-	}
-	if s.lcAssign == nil {
-		s.lcAssign = make(dsslc.Assignment)
-	} else {
-		clear(s.lcAssign)
-	}
-	a := s.lcAssign
-	sh.ScheduleRound(s.shardBatches, a, func(b shard.Batch) {
-		for _, r := range b.Reqs {
-			if nid, ok := a[r.ID]; ok {
-				s.Engine.Dispatch(r, nid)
-			} else {
-				s.requeueLC(b.Cluster, r)
-			}
-		}
-	})
 }
 
 // dispatchBE drains the centralized BE queue.
@@ -610,13 +583,9 @@ func (s *System) dispatchBE() {
 	}
 	q := s.beQueue
 	s.beQueue = nil
-	be, ok := s.beSched.(sched.Scheduler)
-	if !ok {
-		panic(fmt.Sprintf("core: BE scheduler %T implements no known interface", s.beSched))
-	}
 	cands := sched.CandidatesBE(s.Engine)
 	for _, r := range q {
-		if nid, ok := be.Pick(r, cands); ok {
+		if nid, ok := s.beSched.Pick(r, cands); ok {
 			s.Engine.Dispatch(r, nid)
 		} else {
 			s.beQueue = append(s.beQueue, r) // retry next round
@@ -639,8 +608,8 @@ func (s *System) masterStalled(c topo.ClusterID) bool {
 
 // redispatch returns requests displaced by a node failure to their
 // arrival master's scheduling queue (LC) or the central BE queue. The
-// masters learn of the failure through the state storage, so the next
-// dispatch round routes around the dead node.
+// next dispatch round reads live engine state, so it routes around the
+// dead node.
 func (s *System) redispatch(reqs []*engine.Request) {
 	for _, r := range reqs {
 		if r.Class == trace.LC {
@@ -978,29 +947,20 @@ func (c *Collector) updateSLOGauges() {
 }
 
 // updateSolverGauges refreshes the DSS-LC solver health gauges (no-op
-// for baseline schedulers and before the first solve).
+// for other LC schedulers and before the first solve).
 func (c *Collector) updateSolverGauges() {
-	var solves, warmHits uint64
-	switch lc := c.sys.lcSched.(type) {
-	case *dsslc.Scheduler:
-		ws := lc.Workspace()
-		if ws == nil {
-			return
-		}
-		solves, warmHits = ws.Solves, ws.WarmHits
-	case *shard.Scheduler:
-		solves, warmHits = lc.SolverTotals()
-		if solves == 0 {
-			return
-		}
-		// Per-shard series only exist in genuinely sharded mode; the K=1
-		// degenerate scheduler keeps the exact unsharded gauge set (and
-		// so the exact unsharded report digest).
-		if lc.NumShards() > 1 {
-			c.updateShardGauges(lc)
-		}
-	default:
+	sh, ok := c.sys.lcSched.(*shard.Scheduler)
+	if !ok {
 		return
+	}
+	solves, warmHits := sh.SolverTotals()
+	if solves == 0 {
+		return
+	}
+	// Per-shard series exist only with more than one shard, so the
+	// single global DSS-LC reports one solver gauge set.
+	if sh.NumShards() > 1 {
+		c.updateShardGauges(sh)
 	}
 	if c.solverGauges == nil {
 		c.solverGauges = &solverGauges{

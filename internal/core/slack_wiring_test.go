@@ -10,29 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestStateStorageSyncsDuringRun(t *testing.T) {
-	tp := topo.PhysicalTestbed()
-	sys := New(Tango(tp, 21))
-	sys.Inject(smallTrace(tp, 3*time.Second, 21))
-	sys.Run(5 * time.Second)
-	st := sys.StateStorage()
-	if st == nil {
-		t.Fatal("no state storage")
-	}
-	// 5s at 100ms cadence plus the initial sync.
-	if st.Syncs < 40 {
-		t.Fatalf("syncs = %d", st.Syncs)
-	}
-	all := st.All()
-	if len(all) != 16 {
-		t.Fatalf("snapshots = %d, want 16 workers", len(all))
-	}
-	sums := st.Summarize()
-	if len(sums) != 4 {
-		t.Fatalf("cluster summaries = %d", len(sums))
-	}
-}
-
 func TestSlackFeatureWiredIntoDCGBE(t *testing.T) {
 	tp := topo.PhysicalTestbed()
 	sys := New(Tango(tp, 22))

@@ -21,6 +21,13 @@
 // augmentation factor λ (Eq. 7–8), so overflow queues proportionally to
 // the heterogeneous total capacity of each node.
 //
+// In the simulator one instance schedules every master's batch in turn:
+// core's LC entry point, ScheduleRound, is the shard layer
+// (internal/shard), whose default single shard passes each master's
+// queue to ScheduleBatchInto. Capacities are read from live engine
+// state, minus what earlier rounds sent toward a node and what this
+// batch already assigned.
+//
 // The solve loop is the scheduler's hot path, so it is built around one
 // reused flow.Graph + flow.Workspace per Scheduler: every route call
 // Clears and rebuilds the graph inside the retained arenas, solves with
@@ -45,10 +52,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Scheduler is one master's DSS-LC instance. It implements both the
-// batch interface used by Tango's LC traffic dispatcher and (through
-// Pick) the one-request sched.Scheduler interface for pairing
-// experiments.
+// Scheduler is one master's DSS-LC instance: ScheduleBatchInto routes
+// that master's LC queue. Tango's LC traffic dispatcher drives it
+// through the shard layer (internal/shard), whose ScheduleRound is the
+// dispatcher's one LC entry point; one shard is the global DSS-LC.
 type Scheduler struct {
 	Engine *engine.Engine
 	// GeoRadiusKm bounds candidate clusters (footnote 4; 500 km).
@@ -130,7 +137,7 @@ func New(e *engine.Engine, seed int64) *Scheduler {
 	return &Scheduler{Engine: e, GeoRadiusKm: 500, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements sched.Scheduler.
+// Name reports the algorithm name.
 func (s *Scheduler) Name() string { return "DSS-LC" }
 
 // Workspace exposes the scheduler's solver workspace (nil until the
@@ -140,21 +147,13 @@ func (s *Scheduler) Workspace() *flow.Workspace { return s.ws }
 // Assignment maps request IDs to chosen workers.
 type Assignment map[int64]topo.NodeID
 
-// ScheduleBatch routes every request in the batch (all from cluster c's
-// LC queue) and returns a freshly allocated assignment. Requests of
-// each type are handled independently (the "multi-commodity"
-// structure); within a type the two cases of Algorithm 2 apply.
-func (s *Scheduler) ScheduleBatch(c topo.ClusterID, reqs []*engine.Request) Assignment {
-	out := make(Assignment, len(reqs))
-	s.ScheduleBatchInto(c, reqs, out)
-	return out
-}
-
-// ScheduleBatchInto is ScheduleBatch writing into a caller-provided
-// assignment (existing entries are kept), so a dispatcher draining
-// queues every period can reuse one cleared map instead of allocating
-// per round. With tracing off this path performs zero steady-state heap
-// allocations.
+// ScheduleBatchInto routes every request in the batch (all from cluster
+// c's LC queue) into out, a caller-provided assignment whose existing
+// entries are kept, so a dispatcher draining queues every period reuses
+// one cleared map. Requests of each type are handled independently (the
+// "multi-commodity" structure); within a type the two cases of
+// Algorithm 2 apply. With tracing off this path performs zero
+// steady-state heap allocations.
 func (s *Scheduler) ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, out Assignment) {
 	if len(reqs) == 0 {
 		return
@@ -443,14 +442,6 @@ func (s *Scheduler) neighborsOf(t *topo.Topology, c topo.ClusterID) []topo.Clust
 	return s.neighbors
 }
 
-// Pick adapts DSS-LC to the one-request sched.Scheduler interface by
-// running a batch of size one.
-func (s *Scheduler) Pick(r *engine.Request, cands []*engine.Node) (topo.NodeID, bool) {
-	a := s.ScheduleBatch(r.Cluster, []*engine.Request{r})
-	id, ok := a[r.ID]
-	return id, ok
-}
-
 // growInt64s resizes a pooled int64 slice to n, zeroed.
 func growInt64s(buf *[]int64, n int) []int64 {
 	if cap(*buf) < n {
@@ -508,19 +499,11 @@ func (f *fracSlice) Less(i, j int) bool {
 	return a.i < b.i
 }
 
-// scaleToSum scales vals (nonnegative, summing to totSum) so they sum to
-// need, using the largest-remainder method — the integer realization of
-// the augmentation factor λ = need/totSum of Eq. 8.
-func scaleToSum(vals []int64, totSum, need int64) []int64 {
-	out := make([]int64, len(vals))
-	var fr fracSlice
-	scaleToSumInto(out, &fr, vals, totSum, need)
-	return out
-}
-
-// scaleToSumInto is scaleToSum writing into out (len(out) == len(vals))
-// with fr as sorting scratch, so the scheduler's hot path reuses pooled
-// buffers instead of allocating per overflow solve.
+// scaleToSumInto scales vals (nonnegative, summing to totSum) so they
+// sum to need, using the largest-remainder method — the integer
+// realization of the augmentation factor λ = need/totSum of Eq. 8. It
+// writes into out (len(out) == len(vals)) with fr as sorting scratch,
+// so the scheduler's hot path reuses pooled buffers.
 func scaleToSumInto(out []int64, fr *fracSlice, vals []int64, totSum, need int64) {
 	for i := range out {
 		out[i] = 0

@@ -33,11 +33,26 @@ func lcReqs(e *engine.Engine, n int, t trace.TypeID) []*engine.Request {
 	return out
 }
 
+// schedule routes one batch into a fresh assignment.
+func schedule(s *Scheduler, c topo.ClusterID, reqs []*engine.Request) Assignment {
+	out := make(Assignment, len(reqs))
+	s.ScheduleBatchInto(c, reqs, out)
+	return out
+}
+
+// scaleToSum is scaleToSumInto into fresh buffers.
+func scaleToSum(vals []int64, totSum, need int64) []int64 {
+	out := make([]int64, len(vals))
+	var fr fracSlice
+	scaleToSumInto(out, &fr, vals, totSum, need)
+	return out
+}
+
 func TestSchedulesAllWithinCapacity(t *testing.T) {
 	_, e, tp := env(4000)
 	s := New(e, 1)
 	reqs := lcReqs(e, 8, 3) // type 3: 1000m => 4 per worker, 8 local
-	a := s.ScheduleBatch(0, reqs)
+	a := schedule(s, 0, reqs)
 	if len(a) != 8 {
 		t.Fatalf("assigned %d of 8", len(a))
 	}
@@ -56,7 +71,7 @@ func TestSchedulesAllWithinCapacity(t *testing.T) {
 func TestPrefersLocalOverNearby(t *testing.T) {
 	_, e, tp := env(4000)
 	s := New(e, 1)
-	a := s.ScheduleBatch(0, lcReqs(e, 2, 1))
+	a := schedule(s, 0, lcReqs(e, 2, 1))
 	for _, nid := range a {
 		if e.Node(nid).Cluster != 0 {
 			t.Fatalf("low load routed off-cluster to %d", nid)
@@ -74,7 +89,7 @@ func TestSpillsToNearbyWhenLocalFull(t *testing.T) {
 		}
 	}
 	s := New(e, 1)
-	a := s.ScheduleBatch(0, lcReqs(e, 4, 3))
+	a := schedule(s, 0, lcReqs(e, 4, 3))
 	if len(a) != 4 {
 		t.Fatalf("assigned %d", len(a))
 	}
@@ -93,7 +108,7 @@ func TestNeverSchedulesBeyondGeoRadius(t *testing.T) {
 	_, e, _ := env(4000)
 	s := New(e, 1)
 	// Far more requests than local+nearby capacity: 16 slots for type 3.
-	a := s.ScheduleBatch(0, lcReqs(e, 60, 3))
+	a := schedule(s, 0, lcReqs(e, 60, 3))
 	if len(a) != 60 {
 		t.Fatalf("assigned %d of 60", len(a))
 	}
@@ -124,7 +139,7 @@ func TestOverloadSplitsProportionallyToTotalCapacity(t *testing.T) {
 		}
 	}
 	s := New(e, 1)
-	a := s.ScheduleBatch(0, lcReqs(e, 36, 3))
+	a := schedule(s, 0, lcReqs(e, 36, 3))
 	if len(a) != 36 {
 		t.Fatalf("assigned %d", len(a))
 	}
@@ -148,7 +163,7 @@ func TestRespectsEffectiveDemandOverrides(t *testing.T) {
 	w0 := tp.Cluster(0).Workers[0]
 	e.Node(w0).AllocOverride[1] = res.V(500, 512, 4)
 	s := New(e, 1)
-	a := s.ScheduleBatch(0, lcReqs(e, 24, 1)) // 250m default: 16/worker; w0 now 8
+	a := schedule(s, 0, lcReqs(e, 24, 1)) // 250m default: 16/worker; w0 now 8
 	counts := map[topo.NodeID]int{}
 	for _, nid := range a {
 		counts[nid]++
@@ -162,7 +177,7 @@ func TestRespectsEffectiveDemandOverrides(t *testing.T) {
 func TestEmptyBatch(t *testing.T) {
 	_, e, _ := env(4000)
 	s := New(e, 1)
-	if a := s.ScheduleBatch(0, nil); len(a) != 0 {
+	if a := schedule(s, 0, nil); len(a) != 0 {
 		t.Fatal("nonempty assignment for empty batch")
 	}
 	if s.Decisions != 0 {
@@ -170,16 +185,16 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestPickSingleRequest(t *testing.T) {
+func TestSingleRequestBatch(t *testing.T) {
 	_, e, _ := env(4000)
 	s := New(e, 1)
 	r := e.NewRequest(trace.Request{ID: 7, Type: 1, Class: trace.LC, Cluster: 0})
-	id, ok := s.Pick(r, nil)
+	id, ok := schedule(s, 0, []*engine.Request{r})[r.ID]
 	if !ok {
-		t.Fatal("pick failed")
+		t.Fatal("single request not assigned")
 	}
 	if e.Node(id).Cluster != 0 {
-		t.Fatal("single pick not local under low load")
+		t.Fatal("single request not local under low load")
 	}
 }
 
@@ -190,7 +205,7 @@ func TestMixedTypesInOneBatch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		reqs = append(reqs, e.NewRequest(trace.Request{ID: int64(i), Type: trace.TypeID(i % 5), Class: trace.LC, Cluster: 0}))
 	}
-	a := s.ScheduleBatch(0, reqs)
+	a := schedule(s, 0, reqs)
 	if len(a) != 5 {
 		t.Fatalf("assigned %d of 5", len(a))
 	}
@@ -274,7 +289,7 @@ func TestQuickAllAssignedWithinRadius(t *testing.T) {
 		_, e, _ := env(4000)
 		s := New(e, seed)
 		k := int(batch%50) + 1
-		a := s.ScheduleBatch(0, lcReqs(e, k, trace.TypeID(int(seed%5+5)%5)))
+		a := schedule(s, 0, lcReqs(e, k, trace.TypeID(int(seed%5+5)%5)))
 		if len(a) != k {
 			return false
 		}
@@ -328,7 +343,7 @@ func TestDSSLCBeatsRoundRobinOnQoS(t *testing.T) {
 				return
 			}
 			if useDSS {
-				a := dss.ScheduleBatch(0, pend)
+				a := schedule(dss, 0, pend)
 				for _, r := range pend {
 					e.Dispatch(r, a[r.ID])
 				}
@@ -408,33 +423,25 @@ func TestScheduleBatchIntoOverflowAllocFree(t *testing.T) {
 	}
 }
 
-// ScheduleBatchInto and ScheduleBatch must agree: the Into variant is
-// the same algorithm writing into a caller-owned map.
-func TestScheduleBatchIntoMatchesScheduleBatch(t *testing.T) {
+// ScheduleBatchInto adds to the caller's map and keeps what is there:
+// the shard layer merges batches of one round into a shared assignment.
+// The added entries are exactly what a fresh map would receive.
+func TestScheduleBatchIntoKeepsExistingEntries(t *testing.T) {
 	_, e1, _ := env(4000)
 	_, e2, _ := env(4000)
-	reqs1 := lcReqs(e1, 30, 3)
-	reqs2 := lcReqs(e2, 30, 3)
-	a := New(e1, 7).ScheduleBatch(0, reqs1)
-	into := make(Assignment, len(reqs2))
-	New(e2, 7).ScheduleBatchInto(0, reqs2, into)
-	if len(a) != len(into) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(into))
+	fresh := schedule(New(e1, 7), 0, lcReqs(e1, 30, 3))
+	into := Assignment{1000: 5, 1001: 6}
+	New(e2, 7).ScheduleBatchInto(0, lcReqs(e2, 30, 3), into)
+	if into[1000] != 5 || into[1001] != 6 {
+		t.Fatalf("existing entries changed: %v", into)
 	}
-	for id, nid := range a {
+	if len(into) != len(fresh)+2 {
+		t.Fatalf("sizes differ: %d vs %d+2", len(into), len(fresh))
+	}
+	for id, nid := range fresh {
 		if into[id] != nid {
-			t.Fatalf("request %d: ScheduleBatch -> %d, Into -> %d", id, nid, into[id])
+			t.Fatalf("request %d: fresh map -> %d, shared map -> %d", id, nid, into[id])
 		}
-	}
-}
-
-func BenchmarkScheduleBatch(b *testing.B) {
-	_, e, _ := env(16000)
-	s := New(e, 1)
-	reqs := lcReqs(e, 100, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScheduleBatch(0, reqs)
 	}
 }
 

@@ -205,11 +205,12 @@ var LCNames = []string{"DSS-LC", "scoring", "load-greedy", "k8s-native"}
 // BENames lists the BE algorithms of Figure 11(c)/12.
 var BENames = []string{"DCG-BE", "GNN-SAC", "load-greedy", "k8s-native"}
 
-// MakeLCSched returns the factory for a named LC algorithm.
+// MakeLCSched returns the factory for a named LC algorithm. DSS-LC is
+// core's default LC scheduler, so its factory is nil.
 func MakeLCSched(name string) func(e *engine.Engine, seed int64) any {
 	switch name {
 	case "DSS-LC":
-		return func(e *engine.Engine, seed int64) any { return dsslc.New(e, seed) }
+		return nil
 	case "scoring":
 		return func(e *engine.Engine, seed int64) any { return sched.NewScoring(e.Topology()) }
 	case "load-greedy":
@@ -492,7 +493,11 @@ func DecisionTime(cfg Config, measure func(func()) time.Duration) *Result {
 				ID: int64(i), Type: trace.TypeID(i % 5), Class: trace.LC, Cluster: 0,
 			}))
 		}
-		el := measure(func() { d.ScheduleBatch(0, batch) })
+		out := make(dsslc.Assignment, len(batch))
+		el := measure(func() {
+			clear(out)
+			d.ScheduleBatchInto(0, batch, out)
+		})
 		tb.AddRowF(nodes, el)
 		values[fmt.Sprintf("decision_ms_%d", nodes)] = float64(el) / float64(time.Millisecond)
 	}

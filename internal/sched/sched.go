@@ -1,9 +1,11 @@
-// Package sched defines the traffic-scheduling interface of Tango's
-// dispatchers and the three baseline policies the paper compares against
-// (§7.2): k8s-native round-robin [9], load-greedy (lowest-load node) and
-// scoring (a weighted score over resource usage and transmission
-// latency, after [42]). DSS-LC and DCG-BE implement the same interface
-// in their own packages.
+// Package sched defines the one-request traffic-scheduling interface and
+// the three baseline policies the paper compares against (§7.2):
+// k8s-native round-robin [9], load-greedy (lowest-load node) and scoring
+// (a weighted score over resource usage and transmission latency, after
+// [42]). DCG-BE implements the same interface in its own package and is
+// the BE dispatcher's default. On the LC side core adapts a Scheduler
+// to its one entry point, LCScheduler.ScheduleRound, whose default is
+// the batched DSS-LC (internal/dsslc via internal/shard).
 package sched
 
 import (

@@ -31,8 +31,8 @@
 // order, so a given (scenario, seed, K) replays byte-identically
 // regardless of goroutine interleaving. With K=1 the layer degenerates
 // to a plain sequential DSS-LC pass-through — same rng stream, same
-// solve interleave, same trace events — and is bit-identical to the
-// unsharded scheduler (asserted in internal/check).
+// solve interleave, same placements as a bare dsslc.Scheduler (asserted
+// in internal/check) — and that is core's default LC dispatcher.
 package shard
 
 import (

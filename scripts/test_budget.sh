@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 test-time gate: runs `go test -count=1 ./...` and fails when a
-# package's wall time exceeds its budget in scripts/test_budgets.txt, or
-# when a package with tests has no budget there.
+# package's wall time exceeds its budget in scripts/test_budgets.txt,
+# when a package with tests has no budget there, or when a budget names
+# a package with no timing line in the output (a stale budget).
 #
 #   sh scripts/test_budget.sh            # run the tests, then check
 #   sh scripts/test_budget.sh out.txt    # check saved `go test` output
@@ -31,9 +32,11 @@ BEGIN {
 }
 $1 == "FAIL" && $3 ~ /^[0-9.]+s$/ {
     printf "test budget: %s failed after %s\n", $2, $3
+    seen[$2] = 1
     bad = 1
 }
 $1 == "ok" && $3 ~ /^[0-9.]+s$/ {
+    seen[$2] = 1
     t = substr($3, 1, length($3) - 1)
     if (!($2 in limit)) {
         printf "test budget: %s took %ss and has no budget in %s\n", $2, t, budgets
@@ -48,6 +51,12 @@ END {
     if (n == 0) {
         print "test budget: no package timings in the go test output"
         exit 1
+    }
+    for (p in limit) {
+        if (!(p in seen)) {
+            printf "test budget: %s has a budget in %s but no timing line (stale budget)\n", p, budgets
+            bad = 1
+        }
     }
     if (!bad) printf "test budget: %d packages within budget\n", n
     exit bad
