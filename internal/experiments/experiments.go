@@ -493,11 +493,8 @@ func DecisionTime(cfg Config, measure func(func()) time.Duration) *Result {
 				ID: int64(i), Type: trace.TypeID(i % 5), Class: trace.LC, Cluster: 0,
 			}))
 		}
-		out := make(dsslc.Assignment, len(batch))
-		el := measure(func() {
-			clear(out)
-			d.ScheduleBatchInto(0, batch, out)
-		})
+		out := dsslc.Assignment{}
+		el := measure(func() { d.ScheduleBatchInto(0, batch, out) })
 		tb.AddRowF(nodes, el)
 		values[fmt.Sprintf("decision_ms_%d", nodes)] = float64(el) / float64(time.Millisecond)
 	}

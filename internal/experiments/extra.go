@@ -113,11 +113,8 @@ func Scalability(cfg Config, measure func(func()) time.Duration) *Result {
 				ID: int64(i), Type: trace.TypeID(i % 5), Class: trace.LC, Cluster: 0,
 			}))
 		}
-		out := make(dsslc.Assignment, len(batch))
-		el := measure(func() {
-			clear(out)
-			d.ScheduleBatchInto(0, batch, out)
-		})
+		out := dsslc.Assignment{}
+		el := measure(func() { d.ScheduleBatchInto(0, batch, out) })
 		tb.AddRowF(nodes, el, float64(el)/float64(time.Microsecond)/100)
 		values[fmt.Sprintf("ms_%d", nodes)] = float64(el) / float64(time.Millisecond)
 	}
