@@ -82,7 +82,6 @@ func compareSnapshots(oldS, newS *perfSnapshot, nsPct, allocPct float64) []compa
 	rows := []compareRow{
 		newRow("solver_ns_op", oldS.SolverNsOp, newS.SolverNsOp, nsPct),
 		newRow("solver_warm_ns_op", oldS.SolverWarmNsOp, newS.SolverWarmNsOp, nsPct),
-		newRow("dinic_ns_op", oldS.DinicNsOp, newS.DinicNsOp, nsPct),
 		newRow("engine_event_ns", oldS.EngineEventNs, newS.EngineEventNs, nsPct),
 		newRow("cgroup_resize_ns_op", oldS.CgroupResizeNsOp, newS.CgroupResizeNsOp, nsPct),
 	}

@@ -4,8 +4,8 @@ import "testing"
 
 func baseSnap() *perfSnapshot {
 	return &perfSnapshot{
-		Schema:     "tango.perf-snapshot/v1",
-		SolverNsOp: 1000, DinicNsOp: 500,
+		Schema:        "tango.perf-snapshot/v1",
+		SolverNsOp:    1000,
 		EngineEventNs: 2000, CgroupResizeNsOp: 100,
 		SolverPhases: []phaseRow{
 			{Phase: "solve/mcnf", Calls: 10, NsOp: 900, BytesOp: 4096, AllocsOp: 8},
@@ -31,8 +31,8 @@ func TestCompareIdenticalSnapshotsClean(t *testing.T) {
 	if n, names := countRegressions(rows); n != 0 {
 		t.Fatalf("self compare regressed: %v", names)
 	}
-	if len(rows) != 5+2*3 {
-		t.Fatalf("row count = %d, want 11", len(rows))
+	if len(rows) != 4+2*3 {
+		t.Fatalf("row count = %d, want 10", len(rows))
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 
 // Perf snapshot: a machine-readable baseline (BENCH_<date>.json) so
 // future optimization PRs have a trajectory to compare against. Three
-// hot paths are timed: the DSS-LC-shaped min-cost-flow solve (and the
-// Dinic max-flow on the same graph), the end-to-end engine event rate
+// hot paths are timed: the DSS-LC-shaped min-cost-flow solve (cold
+// MinCostFlow and keyed WarmStartAt), the end-to-end engine event rate
 // of a standard Tango run, and the cgroup two-level D-VPA resize. Each
 // section also carries the phase profiler's per-phase ns/op and
 // allocation breakdown, which is what `tango-bench -compare` diffs.
@@ -45,7 +45,6 @@ type perfSnapshot struct {
 	SolverWarmNsOp float64 `json:"solver_warm_ns_op,omitempty"`
 	SolverSolves   uint64  `json:"solver_solves,omitempty"`
 	SolverWarmHits uint64  `json:"solver_warm_hits,omitempty"`
-	DinicNsOp      float64 `json:"dinic_ns_op"`
 
 	// Engine: PhysicalTestbed Tango run under P3; ns per fired
 	// simulation event amortizes dispatch, admission and completion.
@@ -194,16 +193,12 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 		g.MinCostFlow(src, sink, batch)
 		g.Reset()
 	})
-	snap.DinicNsOp = timeOp(budget, func() {
-		g.MaxFlowDinic(src, sink)
-		g.Reset()
-	})
 	wg, wsrc, wsink := perfGraph(workers, batch)
 	wg.SetWorkspace(flow.NewWorkspace())
-	wg.WarmStart(wsrc, wsink, batch) // capture the memo
+	wg.WarmStartAt(0, wsrc, wsink, batch) // capture the memo
 	wg.Reset()
 	snap.SolverWarmNsOp = timeOp(budget, func() {
-		wg.WarmStart(wsrc, wsink, batch)
+		wg.WarmStartAt(0, wsrc, wsink, batch)
 		wg.Reset()
 	})
 
@@ -217,9 +212,7 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	for i := 0; i < profIters; i++ {
 		pg.MinCostFlow(psrc, psink, batch)
 		pg.Reset()
-		pg.WarmStart(psrc, psink, batch)
-		pg.Reset()
-		pg.MaxFlowDinic(psrc, psink)
+		pg.WarmStartAt(0, psrc, psink, batch)
 		pg.Reset()
 	}
 	snap.SolverPhases = phaseRows(sp)
@@ -303,9 +296,9 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	if err := f.Close(); err != nil {
 		return "", err
 	}
-	fmt.Printf("perf: solver %.0f ns/op (warm %.0f, %d/%d warm hits), dinic %.0f ns/op, engine %.0f ns/event (%d events), cgroup resize %.0f ns/op\n",
+	fmt.Printf("perf: solver %.0f ns/op (warm %.0f, %d/%d warm hits), engine %.0f ns/event (%d events), cgroup resize %.0f ns/op\n",
 		snap.SolverNsOp, snap.SolverWarmNsOp, snap.SolverWarmHits, snap.SolverSolves,
-		snap.DinicNsOp, snap.EngineEventNs, snap.EngineEvents, snap.CgroupResizeNsOp)
+		snap.EngineEventNs, snap.EngineEvents, snap.CgroupResizeNsOp)
 	fmt.Printf("perf: shard round (%d nodes):", snap.ShardNodes)
 	for _, r := range snap.ShardRows {
 		fmt.Printf(" k=%d %.0fms (%.0f req/s)", r.Shards, r.WallMs, r.ReqsPerSec)

@@ -13,7 +13,7 @@
 //   - RefGraph (refflow.go) is a deliberately naive Bellman-Ford /
 //     Edmonds-Karp reference implementation of min-cost max-flow, used
 //     by the differential tests and fuzz targets to corroborate the
-//     production SSP+Johnson and Dinic solvers on random instances.
+//     production SSP+Johnson solver on random instances.
 //
 // The replay-digest half of the contract lives in internal/obs
 // (DigestSink, ReportDigest); the replay tests here tie it together.

@@ -39,8 +39,8 @@ func TestRefGraphKnownAnswer(t *testing.T) {
 }
 
 // TestDifferentialOracles is the acceptance-criterion sweep: across at
-// least 256 seeded random instances, the production SSP and Dinic
-// solvers and both naive references must agree on max-flow value, SSP's
+// least 256 seeded random instances, the production SSP solver and both
+// naive references must agree on max-flow value, SSP's
 // cost must be the reference optimum, conservation/Reset round-trip
 // must hold, and warm-started workspace solves must be bit-identical to
 // cold ones across Reset, Clear+rebuild and capacity drift (all folded
@@ -97,10 +97,10 @@ func TestFlowCostScalingMetamorphic(t *testing.T) {
 
 // TestWarmStartMetamorphicInterleave drives a workspace-backed graph
 // through random interleavings of Clear+rebuild (same shape, capacity
-// drift or genuine shape change), Reset and WarmStart, checking after
-// every solve that the result and per-edge flows equal a fresh cold
-// graph's — i.e. the memo life-cycle never leaks stale state no matter
-// the operation order.
+// drift or genuine shape change), Reset and WarmStartAt with one fixed
+// key, checking after every solve that the result and per-edge flows
+// equal a fresh cold graph's — i.e. the memo life-cycle never leaks
+// stale state no matter the operation order.
 func TestWarmStartMetamorphicInterleave(t *testing.T) {
 	const refLimit = refUnbounded
 	for seed := int64(0); seed < 32; seed++ {
@@ -152,7 +152,7 @@ func TestWarmStartMetamorphicInterleave(t *testing.T) {
 				if dirty {
 					g.Reset()
 				}
-				warm := g.WarmStart(cur.Src, cur.Sink, refLimit)
+				warm := g.WarmStartAt(warmKey, cur.Src, cur.Sink, refLimit)
 				dirty = true
 				gc, cids := cur.Graph()
 				cold := gc.MinCostFlow(cur.Src, cur.Sink, refLimit)

@@ -31,11 +31,11 @@
 // The solve loop is the scheduler's hot path, so it is built around one
 // reused flow.Graph + flow.Workspace per Scheduler: every route call
 // Clears and rebuilds the graph inside the retained arenas, solves with
-// flow.WarmStart (replaying the previous period's first Dijkstra pass
-// when the topology shape is unchanged), and all per-batch bookkeeping
-// draws from pooled slices. ScheduleBatchInto is steady-state
-// allocation-free when tracing is off (asserted by testing.AllocsPerRun
-// in dsslc_test.go).
+// flow.WarmStartAt (replaying the same commodity's previous first
+// Dijkstra pass when the topology shape is unchanged), and all
+// per-batch bookkeeping draws from pooled slices. ScheduleBatchInto is
+// steady-state allocation-free when tracing is off (asserted by
+// testing.AllocsPerRun in dsslc_test.go).
 package dsslc
 
 import (
@@ -104,8 +104,8 @@ type Scheduler struct {
 	Prof *perf.Profiler
 
 	// Solver arena: one graph rebuilt in place per solve and one
-	// workspace feeding it pooled scratch plus the cross-period
-	// warm-start memo.
+	// workspace feeding it pooled scratch plus the cross-period keyed
+	// warm-start memos.
 	g  *flow.Graph
 	ws *flow.Workspace
 
@@ -329,8 +329,7 @@ func (s *Scheduler) route(c topo.ClusterID, svc trace.TypeID, phase string, rs [
 	// identical to a cold MinCostFlow either way. The memo is keyed by
 	// (cluster, type, phase): a batch interleaves one solve per
 	// commodity, and per-commodity entries stop those solves from
-	// evicting each other's memos (the single-entry memo only ever
-	// warm-hit the last commodity solved).
+	// evicting each other's memos.
 	key := uint64(c)<<32 | uint64(svc)<<1
 	if phase == obs.PhaseOverflow {
 		key |= 1

@@ -566,22 +566,6 @@ func (n *Node) QueuedLCDemand() res.Vector {
 	return sum
 }
 
-// QueuedOfType counts queued requests of one service type.
-func (n *Node) QueuedOfType(t trace.TypeID) int {
-	c := 0
-	for _, r := range n.queueLC {
-		if r.Type == t {
-			c++
-		}
-	}
-	for _, r := range n.queueBE {
-		if r.Type == t {
-			c++
-		}
-	}
-	return c
-}
-
 // RunningCount returns the number of in-flight requests.
 func (n *Node) RunningCount() int { return len(n.running) }
 
@@ -596,14 +580,6 @@ func (n *Node) EffectiveDemand(t trace.TypeID) res.Vector {
 
 // Utilization returns Used/Capacity as the dominant-share fraction.
 func (n *Node) Utilization() float64 { return n.used.DominantShare(n.Capacity) }
-
-// CPUUtilization returns the CPU fraction in use.
-func (n *Node) CPUUtilization() float64 {
-	if n.Capacity.MilliCPU == 0 {
-		return 0
-	}
-	return float64(n.used.MilliCPU) / float64(n.Capacity.MilliCPU)
-}
 
 // ---- preemption mechanics (§4.1) ----
 
@@ -654,35 +630,6 @@ func (n *Node) CompressBE(need res.Vector, minKeepFrac float64) res.Vector {
 	return freed
 }
 
-// EvictBE evicts running BE requests (newest first) until at least
-// needMemMiB of memory is reclaimed or no BE remains. Evicted requests
-// are restarted from scratch at the tail of this node's BE queue
-// (the §4.1 "evicting and restarting running BE services at a later
-// time"). Returns the reclaimed memory.
-func (n *Node) EvictBE(needMemMiB int64) int64 {
-	var reclaimed int64
-	for _, ru := range n.runningBENewestFirst() {
-		if reclaimed >= needMemMiB {
-			break
-		}
-		if ru.done != nil {
-			ru.done.Cancel()
-		}
-		delete(n.running, ru.req.ID)
-		n.used = n.used.Sub(ru.alloc)
-		reclaimed += ru.alloc.MemoryMiB
-		ru.req.Restarts++
-		n.queueBE = append(n.queueBE, ru.req)
-		n.ScaleOps++
-		if tr := n.eng.trc; tr.Enabled() {
-			tr.Emit(obs.Ev(obs.EvEvict).Req(ru.req.ID).Node(int(n.ID)).
-				Service(int(ru.req.Type)).Val(float64(ru.alloc.MemoryMiB)).Au(int64(ru.req.Restarts)))
-			n.emitEvictedSpan(ru.req)
-		}
-	}
-	return reclaimed
-}
-
 // emitEvictedSpan closes the evicted request's current stage as an
 // "evicted" child span, so restart cycles stay visible in the tiling.
 func (n *Node) emitEvictedSpan(r *Request) {
@@ -695,9 +642,11 @@ func (n *Node) emitEvictedSpan(r *Request) {
 	r.mark = now
 }
 
-// EvictBEUntil evicts running BE requests (newest first, restarting them
-// at the BE queue tail) until the node's free resources fit need, or no
-// BE remains. It reports whether need now fits.
+// EvictBEUntil evicts running BE requests (newest first) until the
+// node's free resources fit need, or no BE remains. Evicted requests are
+// restarted from scratch at the tail of this node's BE queue (the §4.1
+// "evicting and restarting running BE services at a later time"). It
+// reports whether need now fits.
 func (n *Node) EvictBEUntil(need res.Vector) bool {
 	for _, ru := range n.runningBENewestFirst() {
 		if n.Free().Fits(need) {

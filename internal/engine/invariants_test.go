@@ -85,8 +85,9 @@ func TestQuickEngineInvariants(t *testing.T) {
 				for _, id := range n.RunningBE() {
 					n.GrantBE(id, int64(rng.Intn(1000)))
 				}
-			case 2: // random eviction
-				e.Node(workers[rng.Intn(2)]).EvictBE(int64(rng.Intn(3000)))
+			case 2: // random eviction: free up to 3000Mi more memory
+				n := e.Node(workers[rng.Intn(2)])
+				n.EvictBEUntil(res.V(0, n.Free().MemoryMiB+int64(rng.Intn(3000)), 0))
 			case 3: // fail/recover
 				n := e.Node(workers[rng.Intn(2)])
 				if n.Down() {

@@ -341,7 +341,7 @@ func Fig9(cfg Config) *Result {
 // rebuild (~100× slower, with downtime).
 func DVPAMicro(cfg Config) *Result {
 	s := sim.New()
-	store := k8s.NewStore(s)
+	store := k8s.NewStore()
 	kl := k8s.NewKubelet(s, store, 1, res.V(8000, 16384, 0))
 	var tr *obs.Tracer
 	if cfg.TraceSink != nil {

@@ -74,7 +74,7 @@ func TestMaxFlowClassic(t *testing.T) {
 	g.AddEdge(v4, v3, 7, 0)
 	g.AddEdge(v3, d, 20, 0)
 	g.AddEdge(v4, d, 4, 0)
-	if got := g.MaxFlow(s, d); got != 23 {
+	if got := g.MinCostFlow(s, d, math.MaxInt64/4).Flow; got != 23 {
 		t.Fatalf("max flow = %d, want 23", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestMaxFlowRequiresResidualEdges(t *testing.T) {
 	g.AddEdge(a, b, 1, 0)
 	g.AddEdge(a, d, 1, 0)
 	g.AddEdge(b, d, 1, 0)
-	if got := g.MaxFlow(s, d); got != 2 {
+	if got := g.MinCostFlow(s, d, math.MaxInt64/4).Flow; got != 2 {
 		t.Fatalf("max flow = %d, want 2", got)
 	}
 }

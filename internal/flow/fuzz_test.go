@@ -7,9 +7,9 @@ import (
 )
 
 // FuzzMinCostFlow decodes arbitrary bytes into a bounded flow instance
-// and runs the full differential oracle: the production SSP and Dinic
-// solvers must agree with the naive Bellman-Ford/Edmonds-Karp
-// references on max-flow value, SSP's cost must be the reference
+// and runs the full differential oracle: the production SSP solver must
+// agree with the naive Bellman-Ford/Edmonds-Karp references on max-flow
+// value, SSP's cost must be the reference
 // optimum, conservation plus Reset round-tripping must hold, and
 // workspace-backed warm starts (memo replay across Reset, Clear+rebuild
 // and capacity drift) must be bit-identical to cold solves.

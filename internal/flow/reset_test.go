@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Coverage for Reset and MaxFlow: reuse-after-reset equivalence and the
+// Coverage for Reset and max flow: reuse-after-reset equivalence and the
 // capacity edge cases (zero-cap edges, disconnected sink) the scheduler
 // never produces but the solver must still handle.
 
@@ -49,12 +49,6 @@ func TestResetReuseEquivalence(t *testing.T) {
 			t.Fatalf("edge %d: flow %d after re-solve, was %d", i, f, flows[i])
 		}
 	}
-	// Reset also bridges solver families: Dinic on the reset graph must
-	// find the same max flow.
-	g.Reset()
-	if f := g.MaxFlowDinic(0, 3); f != r1.Flow {
-		t.Fatalf("Dinic after Reset = %d, want %d", f, r1.Flow)
-	}
 }
 
 func TestResetAfterPartialSolve(t *testing.T) {
@@ -74,7 +68,7 @@ func TestMaxFlowZeroCapEdges(t *testing.T) {
 	dead := g.AddEdge(0, 1, 0, 1) // zero capacity: present but unusable
 	live := g.AddEdge(0, 1, 4, 1)
 	out := g.AddEdge(1, 2, 3, 0)
-	if f := g.MaxFlow(0, 2); f != 3 {
+	if f := g.MinCostFlow(0, 2, math.MaxInt64/4).Flow; f != 3 {
 		t.Fatalf("max flow = %d, want 3", f)
 	}
 	if f := g.Flow(dead); f != 0 {
@@ -93,11 +87,8 @@ func TestMaxFlowDisconnectedSink(t *testing.T) {
 	g.AddNodes(4)
 	g.AddEdge(0, 1, 5, 1)
 	g.AddEdge(1, 0, 5, 1) // cycle off to the side; sink 3 unreachable
-	if f := g.MaxFlow(0, 3); f != 0 {
+	if f := g.MinCostFlow(0, 3, math.MaxInt64/4).Flow; f != 0 {
 		t.Fatalf("max flow to disconnected sink = %d, want 0", f)
-	}
-	if f := g.MaxFlowDinic(0, 3); f != 0 {
-		t.Fatalf("Dinic to disconnected sink = %d, want 0", f)
 	}
 	if r := g.MinCostFlow(0, 3, 10); r != (Result{}) {
 		t.Fatalf("min-cost flow to disconnected sink = %+v, want zero", r)
@@ -107,22 +98,22 @@ func TestMaxFlowDisconnectedSink(t *testing.T) {
 	}
 }
 
-func TestMaxFlowAgreesWithDinic(t *testing.T) {
-	build := func() *Graph {
-		g := NewGraph()
-		g.AddNodes(6)
-		g.AddEdge(0, 1, 10, 1)
-		g.AddEdge(0, 2, 10, 2)
-		g.AddEdge(1, 3, 4, 1)
-		g.AddEdge(1, 4, 8, 3)
-		g.AddEdge(2, 4, 9, 1)
-		g.AddEdge(3, 5, 10, 0)
-		g.AddEdge(4, 5, 10, 0)
-		return g
+// TestMaxFlowLayered pins the max flow of a two-layer graph whose
+// cheapest paths saturate before the maximum is reached.
+func TestMaxFlowLayered(t *testing.T) {
+	g := NewGraph()
+	g.AddNodes(6)
+	g.AddEdge(0, 1, 10, 1)
+	g.AddEdge(0, 2, 10, 2)
+	g.AddEdge(1, 3, 4, 1)
+	g.AddEdge(1, 4, 8, 3)
+	g.AddEdge(2, 4, 9, 1)
+	g.AddEdge(3, 5, 10, 0)
+	g.AddEdge(4, 5, 10, 0)
+	if f := g.MinCostFlow(0, 5, math.MaxInt64/4).Flow; f != 14 {
+		t.Fatalf("max flow = %d, want 14", f)
 	}
-	ssp := build().MaxFlow(0, 5)
-	din := build().MaxFlowDinic(0, 5)
-	if ssp != din || ssp != 14 {
-		t.Fatalf("ssp=%d dinic=%d, want 14", ssp, din)
+	if err := g.Conservation(0, 5); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,7 +4,7 @@ package flow
 // path steady-state allocation-free and carries the cross-period
 // warm-start memos.
 //
-// Every MinCostFlow/WarmStart solve needs four node-indexed scratch
+// Every MinCostFlow/WarmStartAt solve needs four node-indexed scratch
 // arrays (Johnson potentials, tentative distances, and the shortest-path
 // tree) plus a priority queue. Before the workspace, each solve built
 // them from scratch and the queue was a container/heap with `any`
@@ -13,9 +13,7 @@ package flow
 // Workspace owns those buffers and grows them monotonically, so a
 // warmed solver performs zero heap allocations per solve (asserted by
 // testing.AllocsPerRun in workspace_test.go and gated by
-// `tango-bench -compare -alloc-threshold`). Dinic's level/iterator/BFS
-// scratch lives here too, so the feasibility probe shares the same
-// zero-allocation contract.
+// `tango-bench -compare -alloc-threshold`).
 //
 // The warm-start memo exploits a structural fact of the SSP solver: the
 // first Dijkstra pass runs on the pristine graph with all-zero
@@ -31,16 +29,14 @@ package flow
 // Result and the same per-edge flows (the differential sweep in
 // internal/check proves this over hundreds of seeded graphs).
 //
-// A workspace holds one *default* memo (fed by WarmStart) plus a keyed
-// memo table (fed by WarmStartAt). A scheduler interleaving solves for
-// many (cluster, type) commodities per period rebuilds a different
-// graph shape per commodity; with a single memo entry each rebuild
-// evicts the previous commodity's first pass and the warm-hit rate
-// collapses to the single-commodity case. Keying the memo by the
-// caller's commodity identity gives every commodity its own entry, so
-// each one replays its own previous period. Table entries are created
-// on first sight of a key and reused forever after; steady-state keyed
-// solves allocate nothing.
+// The memos are keyed by the caller (WarmStartAt). A scheduler
+// interleaving solves for many (cluster, type) commodities per period
+// rebuilds a different graph shape per commodity; a single memo entry
+// would be evicted by each rebuild. Keying the memo by the caller's
+// commodity identity gives every commodity its own entry, so each one
+// replays its own previous period. Table entries are created on first
+// sight of a key and reused forever after; steady-state keyed solves
+// allocate nothing. MinCostFlow touches no memo.
 
 // pqItem is one entry of the solver's priority queue.
 type pqItem struct {
@@ -117,14 +113,8 @@ type Workspace struct {
 	prevArc   []int
 	heap      []pqItem
 
-	// Dinic scratch (level graph, per-node arc iterators, BFS queue).
-	level []int
-	iter  []int
-	queue []int
-
-	// def is the default warm-start memo (WarmStart); table holds the
-	// keyed memos (WarmStartAt), created lazily per key.
-	def   memo
+	// table holds the keyed warm-start memos (WarmStartAt), created
+	// lazily per key.
 	table map[uint64]*memo
 
 	// Solves counts solves routed through this workspace; WarmHits the
@@ -150,18 +140,6 @@ func (ws *Workspace) grow(n int) {
 	ws.prevArc = make([]int, n)
 }
 
-// growDinic ensures the Dinic scratch arrays can hold n entries.
-func (ws *Workspace) growDinic(n int) {
-	if cap(ws.level) >= n {
-		ws.level = ws.level[:n]
-		ws.iter = ws.iter[:n]
-		return
-	}
-	ws.level = make([]int, n)
-	ws.iter = make([]int, n)
-	ws.queue = make([]int, 0, n)
-}
-
 // memoAt returns the keyed memo entry, creating it on first use. The
 // map read on the steady-state path is allocation-free; only a key's
 // first appearance allocates its entry.
@@ -176,10 +154,6 @@ func (ws *Workspace) memoAt(key uint64) *memo {
 	ws.table[key] = m
 	return m
 }
-
-// MemoEntries reports how many keyed memo entries the workspace holds
-// (the default WarmStart memo is not counted).
-func (ws *Workspace) MemoEntries() int { return len(ws.table) }
 
 // The priority queue is a hand-rolled index-based binary heap over the
 // workspace's pqItem slice. It replicates container/heap's exact sift

@@ -24,6 +24,9 @@ func rebuildDiamond(g *Graph) {
 	g.AddEdge(2, 3, 3, 0)
 }
 
+// key is the fixed memo key of the single-commodity tests.
+const key = 1
+
 // buildDiamond is rebuildDiamond returning the edge IDs.
 func buildDiamond(g *Graph) []EdgeID {
 	rebuildDiamond(g)
@@ -35,10 +38,10 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	ws := NewWorkspace()
 	g.SetWorkspace(ws)
 	ids := buildDiamond(g)
-	if g.Warmed(0) {
+	if g.WarmedAt(key, 0) {
 		t.Fatal("fresh workspace claims warm")
 	}
-	r1 := g.WarmStart(0, 3, unbounded)
+	r1 := g.WarmStartAt(key, 0, 3, unbounded)
 	if r1.Flow != 5 || r1.Cost != 17 {
 		t.Fatalf("cold warm-start solve = %+v, want flow 5 cost 17", r1)
 	}
@@ -51,10 +54,10 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	}
 	// Reset: memo replays.
 	g.Reset()
-	if !g.Warmed(0) {
+	if !g.WarmedAt(key, 0) {
 		t.Fatal("not warmed after Reset")
 	}
-	if r := g.WarmStart(0, 3, unbounded); r != r1 {
+	if r := g.WarmStartAt(key, 0, 3, unbounded); r != r1 {
 		t.Fatalf("warm solve after Reset = %+v, cold = %+v", r, r1)
 	}
 	if ws.WarmHits != 1 {
@@ -62,10 +65,10 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	}
 	// Clear+rebuild: memo survives the period boundary.
 	ids = buildDiamond(g)
-	if !g.Warmed(0) {
+	if !g.WarmedAt(key, 0) {
 		t.Fatal("not warmed after Clear+rebuild of the same shape")
 	}
-	if r := g.WarmStart(0, 3, unbounded); r != r1 {
+	if r := g.WarmStartAt(key, 0, 3, unbounded); r != r1 {
 		t.Fatalf("warm solve after rebuild = %+v, cold = %+v", r, r1)
 	}
 	for i, id := range ids {
@@ -78,7 +81,7 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	}
 	// A different source must not replay the memo.
 	g.Reset()
-	if g.Warmed(1) {
+	if g.WarmedAt(key, 1) {
 		t.Fatal("warmed for a different source")
 	}
 }
@@ -87,7 +90,7 @@ func TestWarmStartInvalidatedByShapeChange(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded)
+	g.WarmStartAt(key, 0, 3, unbounded)
 	// Change one cost: shape mismatch, cold fallback, memo refreshed.
 	g.Clear()
 	g.AddNodes(4)
@@ -95,16 +98,16 @@ func TestWarmStartInvalidatedByShapeChange(t *testing.T) {
 	g.AddEdge(1, 3, 2, 0)
 	g.AddEdge(0, 2, 3, 5)
 	g.AddEdge(2, 3, 3, 0)
-	if g.Warmed(0) {
+	if g.WarmedAt(key, 0) {
 		t.Fatal("warmed despite cost change")
 	}
-	r := g.WarmStart(0, 3, unbounded)
+	r := g.WarmStartAt(key, 0, 3, unbounded)
 	if r.Flow != 5 || r.Cost != 2*2+3*5 {
 		t.Fatalf("solve after cost change = %+v, want flow 5 cost 19", r)
 	}
 	// The fallback captured a fresh memo for the new shape.
 	g.Reset()
-	if !g.Warmed(0) {
+	if !g.WarmedAt(key, 0) {
 		t.Fatal("memo not refreshed by the cold fallback")
 	}
 }
@@ -114,7 +117,7 @@ func TestWarmStartCapacityDriftKeepsMemo(t *testing.T) {
 	ws := NewWorkspace()
 	g.SetWorkspace(ws)
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded)
+	g.WarmStartAt(key, 0, 3, unbounded)
 	// Next period: same shape, larger capacities. Memo still applies and
 	// the warm result matches a cold solve of the grown graph.
 	g.Clear()
@@ -123,10 +126,10 @@ func TestWarmStartCapacityDriftKeepsMemo(t *testing.T) {
 	g.AddEdge(1, 3, 4, 0)
 	g.AddEdge(0, 2, 6, 5)
 	g.AddEdge(2, 3, 6, 0)
-	if !g.Warmed(0) {
+	if !g.WarmedAt(key, 0) {
 		t.Fatal("capacity drift invalidated the memo")
 	}
-	r := g.WarmStart(0, 3, unbounded)
+	r := g.WarmStartAt(key, 0, 3, unbounded)
 	if ws.WarmHits != 1 {
 		t.Fatalf("WarmHits = %d, want 1", ws.WarmHits)
 	}
@@ -142,7 +145,7 @@ func TestClearRetainsArenas(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded)
+	g.WarmStartAt(key, 0, 3, unbounded)
 	allocs := testing.AllocsPerRun(100, func() {
 		rebuildDiamond(g)
 	})
@@ -159,14 +162,14 @@ func TestWarmedSolveAllocFree(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded) // grow scratch, capture memo
+	g.WarmStartAt(key, 0, 3, unbounded) // grow scratch, capture memo
 
 	warm := testing.AllocsPerRun(100, func() {
 		g.Reset()
-		g.WarmStart(0, 3, unbounded)
+		g.WarmStartAt(key, 0, 3, unbounded)
 	})
 	if warm != 0 {
-		t.Fatalf("warm Reset+WarmStart allocates %.1f/op, want 0", warm)
+		t.Fatalf("warm Reset+WarmStartAt allocates %.1f/op, want 0", warm)
 	}
 	cold := testing.AllocsPerRun(100, func() {
 		rebuildDiamond(g)
@@ -175,37 +178,12 @@ func TestWarmedSolveAllocFree(t *testing.T) {
 	if cold != 0 {
 		t.Fatalf("pooled cold Clear+rebuild+MinCostFlow allocates %.1f/op, want 0", cold)
 	}
-	g.Reset()
-	g.MaxFlowDinic(0, 3) // grow the Dinic scratch
-	dinic := testing.AllocsPerRun(100, func() {
-		g.Reset()
-		g.MaxFlowDinic(0, 3)
-	})
-	// Dinic scratch is pooled in the workspace and the blocking-flow DFS
-	// is a method, not a heap-escaping closure: zero allocations, same
-	// budget as the SSP path.
-	if dinic != 0 {
-		t.Fatalf("pooled Dinic allocates %.1f/op, want 0", dinic)
-	}
-}
-
-// TestDinicWithoutWorkspaceStillCorrect pins the fallback path: a graph
-// with no workspace attached builds throwaway scratch and must agree
-// with the pooled solve.
-func TestDinicWithoutWorkspaceStillCorrect(t *testing.T) {
-	bare := NewGraph()
-	buildDiamond(bare)
-	pooled := NewGraph()
-	pooled.SetWorkspace(NewWorkspace())
-	buildDiamond(pooled)
-	if b, p := bare.MaxFlowDinic(0, 3), pooled.MaxFlowDinic(0, 3); b != p || b != 5 {
-		t.Fatalf("bare dinic %d, pooled %d, want 5", b, p)
-	}
 }
 
 // TestWarmStartAtKeyedMemos is the per-commodity memo table: two
 // interleaved graph shapes keyed separately both warm-hit every period,
-// where the single-entry WarmStart memo would evict on every alternation.
+// where one shared key would evict on every alternation, and a cold
+// MinCostFlow on the same workspace leaves every keyed memo alone.
 func TestWarmStartAtKeyedMemos(t *testing.T) {
 	g := NewGraph()
 	ws := NewWorkspace()
@@ -229,8 +207,8 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 	if ws.WarmHits != 0 {
 		t.Fatalf("WarmHits = %d after capture round, want 0", ws.WarmHits)
 	}
-	if ws.MemoEntries() != 2 {
-		t.Fatalf("MemoEntries = %d, want 2", ws.MemoEntries())
+	if len(ws.table) != 2 {
+		t.Fatalf("memo entries = %d, want 2", len(ws.table))
 	}
 	// Every later period warm-hits both keys, and results stay identical
 	// to the capture round.
@@ -253,8 +231,41 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 	if ws.WarmHits != 6 {
 		t.Fatalf("WarmHits = %d, want 6 (every post-capture solve)", ws.WarmHits)
 	}
-	// The single-entry path alternating the same two shapes through
-	// WarmStart would never hit: each build evicts the other's memo.
+	// MinCostFlow neither creates nor refreshes a keyed memo: a cold
+	// solve of a third shape leaves both keys warm for their own shapes
+	// and cold for the new one.
+	buildC := func() {
+		g.Clear()
+		g.AddNodes(4)
+		g.AddEdge(0, 1, 2, 3)
+		g.AddEdge(1, 3, 2, 0)
+		g.AddEdge(0, 2, 3, 4)
+		g.AddEdge(2, 3, 3, 0)
+	}
+	buildC()
+	g.MinCostFlow(0, 3, unbounded)
+	g.Reset()
+	if g.WarmedAt(1, 0) || g.WarmedAt(2, 0) {
+		t.Fatal("MinCostFlow refreshed a keyed memo with its shape")
+	}
+	if len(ws.table) != 2 || ws.WarmHits != 6 {
+		t.Fatalf("after MinCostFlow: %d memo entries, %d hits; want 2, 6", len(ws.table), ws.WarmHits)
+	}
+	buildA()
+	if !g.WarmedAt(1, 0) {
+		t.Fatal("MinCostFlow evicted key 1's memo")
+	}
+	g.MinCostFlow(0, 3, unbounded)
+	if ws.WarmHits != 6 {
+		t.Fatalf("MinCostFlow replayed a memo: WarmHits = %d, want 6", ws.WarmHits)
+	}
+	buildB()
+	if !g.WarmedAt(2, 0) {
+		t.Fatal("MinCostFlow evicted key 2's memo")
+	}
+
+	// Alternating the same two shapes through one shared key never
+	// hits: each build evicts the other's memo.
 	ws2 := NewWorkspace()
 	g2 := NewGraph()
 	g2.SetWorkspace(ws2)
@@ -264,7 +275,7 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 	g2.AddEdge(1, 3, 2, 0)
 	g2.AddEdge(0, 2, 3, 5)
 	g2.AddEdge(2, 3, 3, 0)
-	g2.WarmStart(0, 3, unbounded)
+	g2.WarmStartAt(key, 0, 3, unbounded)
 	for period := 0; period < 3; period++ {
 		g2.Clear()
 		g2.AddNodes(4)
@@ -272,17 +283,17 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 		g2.AddEdge(1, 3, 2, 0)
 		g2.AddEdge(0, 2, 3, 2)
 		g2.AddEdge(2, 3, 3, 0)
-		g2.WarmStart(0, 3, unbounded)
+		g2.WarmStartAt(key, 0, 3, unbounded)
 		g2.Clear()
 		g2.AddNodes(4)
 		g2.AddEdge(0, 1, 2, 1)
 		g2.AddEdge(1, 3, 2, 0)
 		g2.AddEdge(0, 2, 3, 5)
 		g2.AddEdge(2, 3, 3, 0)
-		g2.WarmStart(0, 3, unbounded)
+		g2.WarmStartAt(key, 0, 3, unbounded)
 	}
 	if ws2.WarmHits != 0 {
-		t.Fatalf("single-entry alternation WarmHits = %d, want 0", ws2.WarmHits)
+		t.Fatalf("shared-key alternation WarmHits = %d, want 0", ws2.WarmHits)
 	}
 }
 

@@ -1,12 +1,9 @@
-// Package k8s is a behaviour-level model of the Kubernetes machinery
-// Tango extends (§2.1, §3): an API-server object store with watches, pods
-// whose containers take seconds to start, kubelets that materialize pods
-// into per-node cgroup hierarchies, the default scheduler's
-// filter-and-score node selection, the native Vertical Pod Autoscaler
-// (which performs delete-and-rebuild resizes and therefore interrupts the
-// container — the pain point D-VPA removes), a Horizontal Pod Autoscaler
-// and the round-robin service proxy that the paper uses as the
-// "K8s-native" traffic baseline.
+// Package k8s is a behaviour-level model of the Kubernetes machinery the
+// §7.1 scaling comparison needs: an API-server pod store, kubelets that
+// walk pods through a seconds-long container start into per-node cgroup
+// hierarchies, and the native Vertical Pod Autoscaler, whose
+// delete-and-rebuild resize interrupts the container — the pain point
+// D-VPA removes. The "K8s-native" traffic baseline is sched.RoundRobin.
 //
 // The model reproduces the control-plane behaviour and latencies that
 // matter to the paper's experiments; it does not run real containers,
@@ -17,7 +14,6 @@ package k8s
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cgroup"
@@ -79,7 +75,7 @@ type Pod struct {
 	ContainerGroup *cgroup.Group
 }
 
-// EventType enumerates store watch events.
+// EventType enumerates store pod events.
 type EventType int
 
 const (
@@ -101,44 +97,29 @@ func (e EventType) String() string {
 	}
 }
 
-// Event is delivered to watchers on every pod mutation.
-type Event struct {
-	Type EventType
-	Pod  *Pod
-}
-
 // ErrNotFound is returned for unknown object names.
 var ErrNotFound = errors.New("k8s: not found")
 
 // Store is the API-server object store.
 type Store struct {
-	sim      *sim.Simulator
-	pods     map[string]*Pod
-	order    []string // insertion order for deterministic iteration
-	watchers []func(Event)
-	uidSeq   int
-	trc      *obs.Tracer
+	pods   map[string]*Pod
+	uidSeq int
+	trc    *obs.Tracer
 }
 
 // SetTracer attaches a tracer; every subsequent pod mutation emits a pod
 // event (Detail = "EVENT/Phase pod-name", Node = bound worker).
 func (s *Store) SetTracer(t *obs.Tracer) { s.trc = t }
 
-// NewStore creates an empty object store on the given simulator.
-func NewStore(s *sim.Simulator) *Store {
-	return &Store{sim: s, pods: map[string]*Pod{}}
+// NewStore creates an empty object store.
+func NewStore() *Store {
+	return &Store{pods: map[string]*Pod{}}
 }
 
-// Watch registers fn to receive every subsequent pod event.
-func (s *Store) Watch(fn func(Event)) { s.watchers = append(s.watchers, fn) }
-
-func (s *Store) notify(e Event) {
+func (s *Store) notify(t EventType, p *Pod) {
 	if tr := s.trc; tr.Enabled() {
-		tr.Emit(obs.Ev(obs.EvPod).Node(int(e.Pod.Spec.Node)).
-			Note(e.Type.String() + "/" + e.Pod.Phase.String() + " " + e.Pod.Spec.Name))
-	}
-	for _, w := range s.watchers {
-		w(e)
+		tr.Emit(obs.Ev(obs.EvPod).Node(int(p.Spec.Node)).
+			Note(t.String() + "/" + p.Phase.String() + " " + p.Spec.Name))
 	}
 }
 
@@ -153,8 +134,7 @@ func (s *Store) CreatePod(spec PodSpec) (*Pod, error) {
 	s.uidSeq++
 	p := &Pod{UID: fmt.Sprintf("pod%06x", s.uidSeq), Spec: spec, Phase: PodPending}
 	s.pods[spec.Name] = p
-	s.order = append(s.order, spec.Name)
-	s.notify(Event{EventAdded, p})
+	s.notify(EventAdded, p)
 	return p, nil
 }
 
@@ -167,8 +147,8 @@ func (s *Store) GetPod(name string) (*Pod, error) {
 	return p, nil
 }
 
-// UpdatePod records a mutation of the pod and notifies watchers.
-func (s *Store) UpdatePod(p *Pod) { s.notify(Event{EventModified, p}) }
+// UpdatePod records a mutation of the pod.
+func (s *Store) UpdatePod(p *Pod) { s.notify(EventModified, p) }
 
 // DeletePod removes a pod from the store.
 func (s *Store) DeletePod(name string) error {
@@ -177,26 +157,8 @@ func (s *Store) DeletePod(name string) error {
 		return fmt.Errorf("%w: pod %q", ErrNotFound, name)
 	}
 	delete(s.pods, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.notify(Event{EventDeleted, p})
+	s.notify(EventDeleted, p)
 	return nil
-}
-
-// Pods returns all pods in creation order, optionally filtered.
-func (s *Store) Pods(filter func(*Pod) bool) []*Pod {
-	var out []*Pod
-	for _, name := range s.order {
-		p := s.pods[name]
-		if filter == nil || filter(p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // NodeState tracks what a kubelet knows about its node.
@@ -320,87 +282,6 @@ func (k *Kubelet) StopPod(p *Pod, onStopped func()) error {
 	return nil
 }
 
-// Scheduler implements the default kube-scheduler behaviour: filter nodes
-// with insufficient free resources, score the rest with LeastRequested +
-// BalancedResourceAllocation, bind to the best.
-type Scheduler struct {
-	nodes []*NodeState
-}
-
-// NewScheduler creates a scheduler over the given nodes.
-func NewScheduler(nodes []*NodeState) *Scheduler { return &Scheduler{nodes: nodes} }
-
-// Schedule picks a node for the pod and sets spec.Node. It returns the
-// chosen node state or an error when no node fits.
-func (s *Scheduler) Schedule(p *Pod) (*NodeState, error) {
-	var best *NodeState
-	bestScore := -1.0
-	for _, n := range s.nodes {
-		if !n.Free().Fits(p.Spec.Request) {
-			continue
-		}
-		score := scoreNode(n, p.Spec.Request)
-		if score > bestScore {
-			bestScore, best = score, n
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("k8s: no node fits pod %s (request %v)", p.Spec.Name, p.Spec.Request)
-	}
-	p.Spec.Node = best.ID
-	return best, nil
-}
-
-// scoreNode mirrors LeastRequestedPriority (favour idle nodes) combined
-// with BalancedResourceAllocation (favour even CPU/memory usage).
-func scoreNode(n *NodeState, req res.Vector) float64 {
-	after := n.Reserved.Add(req)
-	cpuFrac := frac(after.MilliCPU, n.Allocatable.MilliCPU)
-	memFrac := frac(after.MemoryMiB, n.Allocatable.MemoryMiB)
-	least := (1-cpuFrac)/2 + (1-memFrac)/2
-	diff := cpuFrac - memFrac
-	if diff < 0 {
-		diff = -diff
-	}
-	balanced := 1 - diff
-	return least*10 + balanced*10
-}
-
-func frac(used, capacity int64) float64 {
-	if capacity <= 0 {
-		return 1
-	}
-	f := float64(used) / float64(capacity)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
-// RoundRobinProxy is the kube-proxy round-robin endpoint picker — the
-// paper's "K8s-native" traffic scheduling baseline [9].
-type RoundRobinProxy struct {
-	endpoints []topo.NodeID
-	next      int
-}
-
-// NewRoundRobinProxy creates a proxy over a fixed endpoint list.
-func NewRoundRobinProxy(endpoints []topo.NodeID) *RoundRobinProxy {
-	cp := make([]topo.NodeID, len(endpoints))
-	copy(cp, endpoints)
-	return &RoundRobinProxy{endpoints: cp}
-}
-
-// Pick returns the next endpoint, cycling.
-func (r *RoundRobinProxy) Pick() (topo.NodeID, error) {
-	if len(r.endpoints) == 0 {
-		return 0, errors.New("k8s: proxy has no endpoints")
-	}
-	id := r.endpoints[r.next%len(r.endpoints)]
-	r.next++
-	return id, nil
-}
-
 // NativeVPA models the upstream Vertical Pod Autoscaler plugin [11]: to
 // change a pod's resources it deletes the pod and recreates it with the
 // new limits, which interrupts the container for the whole delete +
@@ -435,120 +316,4 @@ func (v *NativeVPA) Resize(p *Pod, newLimit res.Vector, onRunning func()) (time.
 		return 0, err
 	}
 	return downtime, nil
-}
-
-// Deployment is a minimal replica-set controller used by the HPA model.
-type Deployment struct {
-	Name     string
-	Template PodSpec
-	Replicas int
-
-	store     *Store
-	scheduler *Scheduler
-	kubelets  map[topo.NodeID]*Kubelet
-	serial    int
-	pods      []*Pod
-}
-
-// NewDeployment creates a deployment that can place replicas through the
-// given scheduler and kubelets.
-func NewDeployment(name string, tmpl PodSpec, store *Store, sched *Scheduler, kubelets map[topo.NodeID]*Kubelet) *Deployment {
-	return &Deployment{Name: name, Template: tmpl, store: store, scheduler: sched, kubelets: kubelets}
-}
-
-// Pods returns the current replica pods.
-func (d *Deployment) Pods() []*Pod { return d.pods }
-
-// Scale reconciles the replica count to n, creating or deleting pods.
-func (d *Deployment) Scale(n int) error {
-	if n < 0 {
-		return fmt.Errorf("k8s: negative replica count %d", n)
-	}
-	for len(d.pods) < n {
-		d.serial++
-		spec := d.Template
-		spec.Name = fmt.Sprintf("%s-%d", d.Name, d.serial)
-		p, err := d.store.CreatePod(spec)
-		if err != nil {
-			return err
-		}
-		node, err := d.scheduler.Schedule(p)
-		if err != nil {
-			_ = d.store.DeletePod(spec.Name)
-			return err
-		}
-		kl, ok := d.kubelets[node.ID]
-		if !ok {
-			_ = d.store.DeletePod(spec.Name)
-			return fmt.Errorf("k8s: no kubelet for node %d", node.ID)
-		}
-		if err := kl.RunPod(p, nil); err != nil {
-			_ = d.store.DeletePod(spec.Name)
-			return err
-		}
-		d.pods = append(d.pods, p)
-	}
-	for len(d.pods) > n {
-		p := d.pods[len(d.pods)-1]
-		d.pods = d.pods[:len(d.pods)-1]
-		if kl, ok := d.kubelets[p.Spec.Node]; ok && (p.Phase == PodRunning || p.Phase == PodCreating) {
-			name := p.Spec.Name
-			_ = kl.StopPod(p, func() { _ = d.store.DeletePod(name) })
-		} else {
-			_ = d.store.DeletePod(p.Spec.Name)
-		}
-	}
-	d.Replicas = n
-	return nil
-}
-
-// HPA is the Horizontal Pod Autoscaler [3]: it scales a deployment toward
-// ceil(current * utilization / target), clamped to [Min, Max]. Horizontal
-// scaling reacts at pod-start-up granularity, which is why it cannot help
-// millisecond-level LC traffic (§2.1).
-type HPA struct {
-	Deployment  *Deployment
-	Min, Max    int
-	TargetUtil  float64 // e.g. 0.6 = 60% CPU
-	utilization func() float64
-}
-
-// NewHPA builds an HPA; utilization returns the deployment's current mean
-// CPU utilization in [0,1].
-func NewHPA(d *Deployment, min, max int, target float64, utilization func() float64) *HPA {
-	return &HPA{Deployment: d, Min: min, Max: max, TargetUtil: target, utilization: utilization}
-}
-
-// Tick performs one reconcile step and returns the chosen replica count.
-func (h *HPA) Tick() (int, error) {
-	cur := h.Deployment.Replicas
-	if cur == 0 {
-		cur = 1
-	}
-	u := h.utilization()
-	want := int(float64(cur)*u/h.TargetUtil + 0.999999)
-	if want < h.Min {
-		want = h.Min
-	}
-	if want > h.Max {
-		want = h.Max
-	}
-	if want != h.Deployment.Replicas {
-		if err := h.Deployment.Scale(want); err != nil {
-			return h.Deployment.Replicas, err
-		}
-	}
-	return want, nil
-}
-
-// SortNodesByFree orders node states by descending free CPU then ID; used
-// by tests and baselines needing a deterministic "most idle first" view.
-func SortNodesByFree(nodes []*NodeState) {
-	sort.Slice(nodes, func(i, j int) bool {
-		fi, fj := nodes[i].Free().MilliCPU, nodes[j].Free().MilliCPU
-		if fi != fj {
-			return fi > fj
-		}
-		return nodes[i].ID < nodes[j].ID
-	})
 }

@@ -2,10 +2,12 @@ package k8s
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cgroup"
+	"repro/internal/obs"
 	"repro/internal/res"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -13,7 +15,7 @@ import (
 
 func env() (*sim.Simulator, *Store) {
 	s := sim.New()
-	return s, NewStore(s)
+	return s, NewStore()
 }
 
 func spec(name string, node topo.NodeID, req res.Vector) PodSpec {
@@ -36,9 +38,9 @@ func TestPodPhaseStrings(t *testing.T) {
 }
 
 func TestStoreCRUDAndWatch(t *testing.T) {
-	_, st := env()
-	var events []Event
-	st.Watch(func(e Event) { events = append(events, e) })
+	s, st := env()
+	ring := obs.NewRingSink(8)
+	st.SetTracer(obs.NewTracer(s.Now, ring))
 	p, err := st.CreatePod(spec("a", 0, res.V(100, 128, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -66,28 +68,16 @@ func TestStoreCRUDAndWatch(t *testing.T) {
 	if _, err := st.GetPod("a"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("pod still visible after delete")
 	}
-	if len(events) != 3 { // ADDED, MODIFIED, DELETED
-		t.Fatalf("events = %d", len(events))
-	}
-	if events[0].Type != EventAdded || events[1].Type != EventModified || events[2].Type != EventDeleted {
-		t.Fatalf("event order %v %v %v", events[0].Type, events[1].Type, events[2].Type)
-	}
-}
-
-func TestPodsFilterPreservesOrder(t *testing.T) {
-	_, st := env()
-	for _, n := range []string{"c", "a", "b"} {
-		if _, err := st.CreatePod(spec(n, 0, res.V(1, 1, 0))); err != nil {
-			t.Fatal(err)
+	var events []string
+	for _, e := range ring.Events() {
+		if e.Kind != obs.EvPod {
+			t.Fatalf("event kind %v", e.Kind)
 		}
+		events = append(events, e.Detail)
 	}
-	all := st.Pods(nil)
-	if len(all) != 3 || all[0].Spec.Name != "c" || all[2].Spec.Name != "b" {
-		t.Fatal("creation order not preserved")
-	}
-	some := st.Pods(func(p *Pod) bool { return p.Spec.Name != "a" })
-	if len(some) != 2 {
-		t.Fatalf("filtered = %d", len(some))
+	want := []string{"ADDED/Pending a", "MODIFIED/Pending a", "DELETED/Pending a"}
+	if strings.Join(events, ",") != strings.Join(want, ",") {
+		t.Fatalf("pod events = %q, want %q", events, want)
 	}
 }
 
@@ -173,50 +163,6 @@ func TestStopPodInvalidPhase(t *testing.T) {
 	_ = s
 }
 
-func TestSchedulerFilterAndScore(t *testing.T) {
-	idle := &NodeState{ID: 1, Allocatable: res.V(4000, 8192, 0)}
-	busy := &NodeState{ID: 2, Allocatable: res.V(4000, 8192, 0), Reserved: res.V(3500, 7000, 0)}
-	tiny := &NodeState{ID: 3, Allocatable: res.V(100, 128, 0)}
-	sch := NewScheduler([]*NodeState{busy, idle, tiny})
-	p := &Pod{Spec: spec("p", -1, res.V(1000, 1024, 0))}
-	n, err := sch.Schedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.ID != 1 {
-		t.Fatalf("scheduled to %d, want idle node 1", n.ID)
-	}
-	if p.Spec.Node != 1 {
-		t.Fatal("spec.Node not set")
-	}
-	huge := &Pod{Spec: spec("huge", -1, res.V(99999, 1, 0))}
-	if _, err := sch.Schedule(huge); err == nil {
-		t.Fatal("unschedulable pod got a node")
-	}
-}
-
-func TestRoundRobinProxyCycles(t *testing.T) {
-	p := NewRoundRobinProxy([]topo.NodeID{5, 6, 7})
-	var got []topo.NodeID
-	for i := 0; i < 6; i++ {
-		id, err := p.Pick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, id)
-	}
-	want := []topo.NodeID{5, 6, 7, 5, 6, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sequence = %v", got)
-		}
-	}
-	empty := NewRoundRobinProxy(nil)
-	if _, err := empty.Pick(); err == nil {
-		t.Fatal("empty proxy did not error")
-	}
-}
-
 func TestNativeVPADowntimeAndRestart(t *testing.T) {
 	s, st := env()
 	kl := NewKubelet(s, st, 1, res.V(4000, 8192, 0))
@@ -268,98 +214,6 @@ func TestNativeVPADowntimeAndRestart(t *testing.T) {
 	pending, _ := st.CreatePod(spec("p2", 1, res.V(1, 1, 0)))
 	if _, err := vpa.Resize(pending, res.V(2, 2, 0), nil); err == nil {
 		t.Fatal("resize of pending pod allowed")
-	}
-}
-
-func deployEnv(t *testing.T) (*sim.Simulator, *Store, *Deployment) {
-	t.Helper()
-	s, st := env()
-	k1 := NewKubelet(s, st, 1, res.V(4000, 8192, 0))
-	k2 := NewKubelet(s, st, 2, res.V(4000, 8192, 0))
-	sch := NewScheduler([]*NodeState{k1.Node(), k2.Node()})
-	tmpl := spec("", -1, res.V(1000, 1024, 0))
-	d := NewDeployment("web", tmpl, st, sch, map[topo.NodeID]*Kubelet{1: k1, 2: k2})
-	return s, st, d
-}
-
-func TestDeploymentScaleUpDown(t *testing.T) {
-	s, st, d := deployEnv(t)
-	if err := d.Scale(4); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	running := st.Pods(func(p *Pod) bool { return p.Phase == PodRunning })
-	if len(running) != 4 {
-		t.Fatalf("running = %d, want 4", len(running))
-	}
-	// Replicas spread across both nodes by the scheduler.
-	nodes := map[topo.NodeID]int{}
-	for _, p := range running {
-		nodes[p.Spec.Node]++
-	}
-	if nodes[1] != 2 || nodes[2] != 2 {
-		t.Fatalf("spread = %v", nodes)
-	}
-	if err := d.Scale(1); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	left := st.Pods(nil)
-	if len(left) != 1 {
-		t.Fatalf("pods after scale down = %d", len(left))
-	}
-	if err := d.Scale(-1); err == nil {
-		t.Fatal("negative scale allowed")
-	}
-}
-
-func TestDeploymentScaleFailsWhenFull(t *testing.T) {
-	s, _, d := deployEnv(t)
-	// 2 nodes x 4000m / pod 1000m => max 8 replicas.
-	if err := d.Scale(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Scale(9); err == nil {
-		t.Fatal("overcommit scale succeeded")
-	}
-	s.Run()
-}
-
-func TestHPAScalesTowardTarget(t *testing.T) {
-	s, _, d := deployEnv(t)
-	if err := d.Scale(1); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	util := 0.9
-	h := NewHPA(d, 1, 6, 0.5, func() float64 { return util })
-	n, err := h.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 { // ceil(1 * 0.9/0.5) = 2
-		t.Fatalf("replicas = %d, want 2", n)
-	}
-	util = 0.1
-	s.Run()
-	n, err = h.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 { // ceil(2 * 0.1/0.5) = 1
-		t.Fatalf("replicas = %d, want 1", n)
-	}
-	s.Run()
-}
-
-func TestSortNodesByFree(t *testing.T) {
-	a := &NodeState{ID: 1, Allocatable: res.V(1000, 0, 0), Reserved: res.V(900, 0, 0)}
-	b := &NodeState{ID: 2, Allocatable: res.V(1000, 0, 0)}
-	c := &NodeState{ID: 3, Allocatable: res.V(1000, 0, 0)}
-	nodes := []*NodeState{a, c, b}
-	SortNodesByFree(nodes)
-	if nodes[0].ID != 2 || nodes[1].ID != 3 || nodes[2].ID != 1 {
-		t.Fatalf("order = %v %v %v", nodes[0].ID, nodes[1].ID, nodes[2].ID)
 	}
 }
 

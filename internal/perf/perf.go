@@ -43,7 +43,6 @@ const (
 	PhaseSolveMCNF                      // whole flow.MinCostFlow call
 	PhaseSolveDijkstra                  // Johnson-potential Dijkstra searches inside MinCostFlow
 	PhaseSolveAugment                   // SSP augmentation (potential update + path apply)
-	PhaseSolveDinic                     // flow.MaxFlowDinic
 	// Engine loop stages (internal/core + internal/engine).
 	PhaseEngineDispatch  // one dispatcher round over all LC/BE queues
 	PhaseEngineAdmission // Policy.Admit calls (arrival + drain)
@@ -59,7 +58,6 @@ var phaseNames = [PhaseCount]string{
 	PhaseSolveMCNF:       "solve/mcnf",
 	PhaseSolveDijkstra:   "solve/dijkstra",
 	PhaseSolveAugment:    "solve/augment",
-	PhaseSolveDinic:      "solve/dinic",
 	PhaseEngineDispatch:  "engine/dispatch",
 	PhaseEngineAdmission: "engine/admission",
 	PhaseEngineCollect:   "engine/collect",

@@ -101,7 +101,7 @@ func TestExitMismatchPanics(t *testing.T) {
 				t.Error("Exit of wrong phase did not panic")
 			}
 		}()
-		p.Exit(PhaseSolveDinic)
+		p.Exit(PhaseSolveAugment)
 	}()
 	p.Exit(PhaseSolveMCNF)
 	func() {
@@ -145,8 +145,8 @@ func TestAllocationDeltaAttribution(t *testing.T) {
 
 func TestSnapshotListsEveryPhaseInOrder(t *testing.T) {
 	p := New()
-	p.Enter(PhaseSolveDinic)
-	p.Exit(PhaseSolveDinic)
+	p.Enter(PhaseSolveAugment)
+	p.Exit(PhaseSolveAugment)
 	snap := p.Snapshot()
 	if len(snap) != int(PhaseCount) {
 		t.Fatalf("snapshot rows = %d, want %d", len(snap), PhaseCount)
@@ -156,8 +156,8 @@ func TestSnapshotListsEveryPhaseInOrder(t *testing.T) {
 			t.Fatalf("row %d is %q, want %q", i, row.Phase, PhaseID(i).String())
 		}
 	}
-	if snap[PhaseSolveDinic].Calls != 1 {
-		t.Fatalf("dinic row calls = %d, want 1", snap[PhaseSolveDinic].Calls)
+	if snap[PhaseSolveAugment].Calls != 1 {
+		t.Fatalf("augment row calls = %d, want 1", snap[PhaseSolveAugment].Calls)
 	}
 	if snap[PhaseEngineCollect].Calls != 0 {
 		t.Fatal("untouched phase has nonzero calls")
@@ -166,8 +166,8 @@ func TestSnapshotListsEveryPhaseInOrder(t *testing.T) {
 	if len(rep) != int(PhaseCount) {
 		t.Fatalf("report rows = %d, want %d", len(rep), PhaseCount)
 	}
-	if rep[PhaseSolveDinic].Phase != "solve/dinic" || rep[PhaseSolveDinic].Calls != 1 {
-		t.Fatalf("report dinic row = %+v", rep[PhaseSolveDinic])
+	if rep[PhaseSolveAugment].Phase != "solve/augment" || rep[PhaseSolveAugment].Calls != 1 {
+		t.Fatalf("report augment row = %+v", rep[PhaseSolveAugment])
 	}
 }
 

@@ -3,8 +3,10 @@
 # works in both directions. Two quick perf snapshots of the same seed
 # must compare clean under generous thresholds (timing noise only), a
 # snapshot compared against itself must be exactly clean, and a
-# synthetically regressed snapshot (solver_ns_op x4 via benchmut) must
-# make the gate exit non-zero.
+# synthetically regressed copy of snapshot A (via benchmut) compared
+# against A itself must make the gate exit non-zero. Doctoring A rather
+# than B keeps the must-fail checks deterministic: the injected factor
+# is the whole delta, with no A-vs-B timing noise to absorb it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,8 +36,8 @@ echo "== compare A vs A (must pass, zero deltas) =="
 echo "== compare A vs B (must pass under noise thresholds) =="
 "$out/tango-bench" -compare -threshold 300 -alloc-threshold 300 "$snapA" "$snapB"
 
-echo "== compare A vs doctored B (must fail) =="
-"$out/benchmut" -field solver_ns_op -scale 10 "$snapB" "$out/bad.json"
+echo "== compare A vs doctored A (must fail) =="
+"$out/benchmut" -field solver_ns_op -scale 10 "$snapA" "$out/bad.json"
 if "$out/tango-bench" -compare -threshold 300 -alloc-threshold 300 "$snapA" "$out/bad.json"; then
     echo "FAIL: -compare accepted a 10x solver regression" >&2
     exit 1
@@ -45,9 +47,9 @@ fi
 # must also catch a regression from a ~zero baseline (the floor-based
 # 0 -> N rule in newAllocRow): doctor the Dijkstra phase back up to 512
 # allocs/op, roughly its pre-workspace cost.
-echo "== compare A vs alloc-doctored B (must fail) =="
+echo "== compare A vs alloc-doctored A (must fail) =="
 "$out/benchmut" -section solver_phases -phase solve/dijkstra -field allocs_op -set 512 \
-    "$snapB" "$out/bad-alloc.json"
+    "$snapA" "$out/bad-alloc.json"
 if "$out/tango-bench" -compare -threshold 300 -alloc-threshold 300 "$snapA" "$out/bad-alloc.json"; then
     echo "FAIL: -compare accepted a 0 -> 512 allocs/op solver regression" >&2
     exit 1
