@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-budget race bench check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
+.PHONY: all build test test-budget race bench check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke ab-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
 
 all: check
 
@@ -69,6 +69,13 @@ perf:
 # injected regression makes `tango-bench -compare` exit non-zero.
 bench-smoke:
 	sh scripts/bench_smoke.sh
+
+# A/B gate smoke: two short perfbench runs as one pair must pass
+# scripts/benchcmp with identical simulated metrics (the injected
+# regressions are in scripts/benchcmp's tests). Full before/after pairs:
+# `bash scripts/ab.sh <parent-rev> <change-rev> <label>`.
+ab-smoke:
+	sh scripts/ab_smoke.sh
 
 # Live-telemetry smoke: run tango-sim -listen, scrape /metrics /runinfo
 # /trace/tail, validate the exposition via tango-top, and check the

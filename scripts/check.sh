@@ -37,8 +37,8 @@ go test -race -timeout 120m ./...
 echo "== replay smoke =="
 sh scripts/replay_smoke.sh
 
-echo "== bench smoke =="
-sh scripts/bench_smoke.sh
+echo "== A/B bench smoke =="
+sh scripts/ab_smoke.sh
 
 echo "== telemetry smoke =="
 sh scripts/telemetry_smoke.sh
