@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-budget race bench check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke ab-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
+.PHONY: all build test test-budget race bench bench-trace check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke ab-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
 
 all: check
 
@@ -58,17 +58,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMinCostFlow -fuzztime 5s ./internal/flow
 	$(GO) test -run xxx -fuzz FuzzTraceCSV -fuzztime 5s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzChaosProgram -fuzztime 5s ./internal/check
-
-# Write a BENCH_<date>.json perf snapshot (solver/engine/cgroup ns/op
-# plus per-phase breakdowns) into the repo root for the perf trajectory
-# baseline. Diff two snapshots with `tango-bench -compare old new`.
-perf:
-	$(GO) run ./cmd/tango-bench -perf .
-
-# Bench regression-gate smoke: two quick snapshots compare clean, an
-# injected regression makes `tango-bench -compare` exit non-zero.
-bench-smoke:
-	sh scripts/bench_smoke.sh
 
 # A/B gate smoke: two short perfbench runs as one pair must pass
 # scripts/benchcmp with identical simulated metrics (the injected

@@ -34,11 +34,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "partition LC scheduling into this many region shards (>1 enables the sharded scheduler for every Tango run)")
 		traceOut = flag.String("trace", "", "write lifecycle events of every run as NDJSON to this file")
 		report   = flag.String("report", "", "write a suite report (JSON) to this file")
-		perfDir  = flag.String("perf", "", "write a BENCH_<date>.json perf snapshot into this directory and exit (combine with -exp to also run experiments)")
-		quick    = flag.Bool("perf-quick", false, "with -perf: shrink timing budgets for a fast, lower-fidelity snapshot")
-		compare  = flag.Bool("compare", false, "compare two perf snapshots (usage: tango-bench -compare old.json new.json); exit 1 on regression")
-		nsPct    = flag.Float64("threshold", 25, "with -compare: allowed ns/op growth in percent")
-		allocPct = flag.Float64("alloc-threshold", 10, "with -compare: allowed bytes/op and allocs/op growth in percent")
 		profile  = flag.String("pprof", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		listen   = flag.String("listen", "", "serve live telemetry (/metrics /healthz /runinfo /trace/tail) on this host:port (port 0 picks one)")
@@ -48,26 +43,6 @@ func main() {
 		defragOn = flag.Bool("defrag", false, "run the periodic BE defragmentation pass in every run")
 	)
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: tango-bench -compare old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *nsPct, *allocPct))
-	}
-
-	if *perfDir != "" {
-		path, err := writePerfSnapshot(*perfDir, *seed, *quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("perf: snapshot -> %s\n", path)
-		if *exp == "" && !*list {
-			return
-		}
-	}
 
 	type entry struct {
 		id  string

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/res"
 )
 
@@ -135,13 +134,7 @@ func (g *Group) effectiveMemory() int64 {
 type Hierarchy struct {
 	root *Group
 	trc  *obs.Tracer
-	prof *perf.Profiler
 }
-
-// SetProfiler attaches a phase profiler; every subsequent limit write
-// (validation included) is charged to the cgroup/reconcile phase. Nil
-// costs nothing.
-func (h *Hierarchy) SetProfiler(p *perf.Profiler) { h.prof = p }
 
 // SetTracer attaches a tracer; every subsequent successful limit write
 // emits a cgroup-write event (Detail = group path, Value = mCPU quota,
@@ -224,10 +217,6 @@ func (h *Hierarchy) Remove(g *Group) error {
 // Callers performing a pod+container resize must therefore order their
 // writes (see ResizePodAndContainer).
 func (h *Hierarchy) SetLimits(g *Group, l Limits) error {
-	if p := h.prof; p.Enabled() {
-		p.Enter(perf.PhaseCgroupReconcile)
-		defer p.Exit(perf.PhaseCgroupReconcile)
-	}
 	if err := checkAgainstParent(g, l); err != nil {
 		return err
 	}

@@ -103,10 +103,9 @@ func TestPerfReportContents(t *testing.T) {
 	for _, p := range rep.Perf.Phases {
 		phases[p.Phase] = p
 	}
-	// All subsystems present (cgroup as a zero row in tango mode, where
-	// D-VPA cost is modeled as ScaleLatency rather than cgroup writes).
+	// All subsystems present.
 	for _, want := range []string{"solve/mcnf", "solve/dijkstra", "engine/dispatch",
-		"engine/admission", "engine/collect", "cgroup/reconcile"} {
+		"engine/admission", "engine/collect"} {
 		if _, ok := phases[want]; !ok {
 			t.Fatalf("perf section missing phase %q", want)
 		}

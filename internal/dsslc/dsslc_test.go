@@ -374,8 +374,9 @@ func TestDSSLCBeatsRoundRobinOnQoS(t *testing.T) {
 // TestScheduleBatchIntoAllocFree pins the scheduler-level allocation
 // budget: after warm-up (pooled buffers grown, graph arena built,
 // warm-start memo captured), a within-capacity batch schedules with
-// zero heap allocations when tracing is off. The same budget is
-// enforced end to end by `tango-bench -compare -alloc-threshold`.
+// zero heap allocations when tracing is off. TestWarmedSolveAllocFree
+// and TestWarmStartAtAllocFree hold the solver beneath it to the same
+// budget; perfbench's alloc_mb tracks allocation end to end.
 func TestScheduleBatchIntoAllocFree(t *testing.T) {
 	_, e, _ := env(16000)
 	s := New(e, 1)

@@ -21,9 +21,8 @@ import (
 // solve really sees the whole fleet — and schedules it once, cold,
 // through a K-shard scheduler. It returns the measured round time, the
 // number of requests routed, and how many of them the cross-shard
-// overflow pass re-routed. Both the shard-scale experiment and the
-// tango-bench perf snapshot sweep this same point so their numbers are
-// directly comparable.
+// overflow pass re-routed. The shard-scale experiment sweeps it over
+// fleet sizes and shard counts.
 func ShardRound(seed int64, nodes, k int, measure func(func()) time.Duration) (el time.Duration, reqs, overflow int64) {
 	const workersPerCluster, reqsPerCluster = 20, 8
 	tp := topo.Generate(topo.GenConfig{

@@ -11,9 +11,10 @@ package flow
 // boxing — four slice allocations plus one boxed item per heap push,
 // all of it GC pressure inside the per-period DSS-LC solve loop. A
 // Workspace owns those buffers and grows them monotonically, so a
-// warmed solver performs zero heap allocations per solve (asserted by
-// testing.AllocsPerRun in workspace_test.go and gated by
-// `tango-bench -compare -alloc-threshold`).
+// warmed solver performs zero heap allocations per solve (asserted with
+// testing.AllocsPerRun by TestWarmedSolveAllocFree and
+// TestWarmStartAtAllocFree; perfbench's alloc_mb tracks allocation end
+// to end).
 //
 // The warm-start memo exploits a structural fact of the SSP solver: the
 // first Dijkstra pass runs on the pristine graph with all-zero

@@ -156,8 +156,9 @@ func TestClearRetainsArenas(t *testing.T) {
 
 // TestWarmedSolveAllocFree is the tentpole's allocation budget: a
 // workspace-backed solve — warm replay or cold Dijkstra — performs zero
-// steady-state heap allocations. The same budget is enforced end to end
-// on the bench side by `tango-bench -compare -alloc-threshold`.
+// steady-state heap allocations. TestWarmStartAtAllocFree holds the keyed
+// memo to the same budget; perfbench's alloc_mb tracks allocation end to
+// end.
 func TestWarmedSolveAllocFree(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())

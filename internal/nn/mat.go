@@ -337,13 +337,6 @@ func AddInPlace(a, b *Mat) {
 	}
 }
 
-// ScaleInPlace multiplies every element by s.
-func ScaleInPlace(a *Mat, s float64) {
-	for i := range a.Data {
-		a.Data[i] *= s
-	}
-}
-
 // MeanRows returns the 1×C mean of the rows of m.
 func MeanRows(m *Mat) *Mat { return MeanRowsInto(NewMat(1, m.C), m) }
 
@@ -426,15 +419,6 @@ func SoftmaxRowInto(out, logits []float64, mask []bool) []float64 {
 		out[i] /= sum
 	}
 	return out
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (m *Mat) L2Norm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // XavierInit fills m with Uniform(-a, a), a = sqrt(6/(fanIn+fanOut)).

@@ -3,8 +3,8 @@
 // and the allocations go while deciding it".
 //
 // The centerpiece is the Profiler, a stack of nestable phase timers over
-// a fixed enum of instrumented phases (the DSS-LC solve stages, the
-// engine loop stages and the cgroup write path). Each Enter/Exit pair
+// a fixed enum of instrumented phases (the DSS-LC solve stages and the
+// engine loop stages). Each Enter/Exit pair
 // charges wall time and heap-allocation deltas (via runtime/metrics) to
 // the phase; nesting is explicit, so a phase's *self* cost excludes its
 // children while its *total* cost includes them, and re-entrant phases
@@ -47,8 +47,6 @@ const (
 	PhaseEngineDispatch  // one dispatcher round over all LC/BE queues
 	PhaseEngineAdmission // Policy.Admit calls (arrival + drain)
 	PhaseEngineCollect   // the 800 ms collection tick
-	// Cgroup write path (internal/cgroup).
-	PhaseCgroupReconcile // Hierarchy.SetLimits (D-VPA / kubelet writes)
 
 	PhaseCount // sentinel
 )
@@ -61,7 +59,6 @@ var phaseNames = [PhaseCount]string{
 	PhaseEngineDispatch:  "engine/dispatch",
 	PhaseEngineAdmission: "engine/admission",
 	PhaseEngineCollect:   "engine/collect",
-	PhaseCgroupReconcile: "cgroup/reconcile",
 }
 
 // String returns the stable phase name (also the pprof label value).
@@ -249,7 +246,7 @@ type PhaseSnapshot struct {
 
 // Snapshot renders every phase in enum order, including phases that were
 // never entered (zero rows), so consumers always see the full breakdown
-// for the solver, engine and cgroup subsystems.
+// for the solver and engine subsystems.
 func (p *Profiler) Snapshot() []PhaseSnapshot {
 	out := make([]PhaseSnapshot, PhaseCount)
 	for i := PhaseID(0); i < PhaseCount; i++ {

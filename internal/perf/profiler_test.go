@@ -65,16 +65,16 @@ func TestNestingSelfExcludesChild(t *testing.T) {
 func TestReentrantPhaseCountedOnce(t *testing.T) {
 	p := New()
 	start := time.Now()
-	p.Enter(PhaseCgroupReconcile)
+	p.Enter(PhaseEngineDispatch)
 	spin(time.Millisecond)
-	p.Enter(PhaseCgroupReconcile) // e.g. ResizePodAndContainer -> SetLimits
+	p.Enter(PhaseEngineDispatch)
 	spin(time.Millisecond)
-	p.Exit(PhaseCgroupReconcile)
+	p.Exit(PhaseEngineDispatch)
 	spin(time.Millisecond)
-	p.Exit(PhaseCgroupReconcile)
+	p.Exit(PhaseEngineDispatch)
 	elapsed := time.Since(start).Nanoseconds()
 
-	st := p.Stats(PhaseCgroupReconcile)
+	st := p.Stats(PhaseEngineDispatch)
 	if st.Calls != 2 {
 		t.Fatalf("calls = %d, want 2", st.Calls)
 	}

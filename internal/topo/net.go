@@ -33,8 +33,8 @@ type NetOverlay struct {
 }
 
 // Net returns the topology's fault overlay, creating it on first use.
-// Callers that only read should prefer Reachable/NetActive, which do
-// not materialize the overlay.
+// Callers that only read should prefer Reachable, which does not
+// materialize the overlay.
 func (t *Topology) Net() *NetOverlay {
 	if t.net == nil {
 		t.net = &NetOverlay{
@@ -43,13 +43,6 @@ func (t *Topology) Net() *NetOverlay {
 		}
 	}
 	return t.net
-}
-
-// NetActive reports whether any WAN fault is currently applied. The
-// dispatch paths use it to skip reachability filtering entirely on
-// healthy (and chaos-free) runs.
-func (t *Topology) NetActive() bool {
-	return t.net != nil && (len(t.net.cut) > 0 || len(t.net.rttFactor) > 0)
 }
 
 // Reachable reports whether the WAN link between two clusters is up.
@@ -91,12 +84,6 @@ func (o *NetOverlay) SetRTTFactor(a, b ClusterID, f float64) {
 func (o *NetOverlay) ClearRTTFactor(a, b ClusterID) {
 	delete(o.rttFactor, keyOf(a, b))
 }
-
-// Cuts returns the number of currently severed links.
-func (o *NetOverlay) Cuts() int { return len(o.cut) }
-
-// Storms returns the number of links with active RTT inflation.
-func (o *NetOverlay) Storms() int { return len(o.rttFactor) }
 
 // wanAdjust applies the overlay to a computed WAN RTT.
 func (t *Topology) wanAdjust(a, b ClusterID, rtt time.Duration) time.Duration {
