@@ -4,11 +4,11 @@
 //
 // The centerpiece is the Profiler, a stack of nestable phase timers over
 // a fixed enum of instrumented phases (the DSS-LC solve stages and the
-// engine loop stages). Each Enter/Exit pair
-// charges wall time and heap-allocation deltas (via runtime/metrics) to
-// the phase; nesting is explicit, so a phase's *self* cost excludes its
-// children while its *total* cost includes them, and re-entrant phases
-// (a phase nested under itself) are counted once, not twice.
+// engine loop stages). Each Enter/Exit pair charges wall time and
+// heap-allocation deltas (via runtime/metrics) to the phase; nesting is
+// explicit, so a phase's *self* cost excludes its children while its
+// *total* cost includes them, and re-entrant phases (a phase nested
+// under itself) are counted once, not twice.
 //
 // Everything here measures the host, not the simulation: values are
 // wall-clock and allocator facts that legitimately differ between two

@@ -112,6 +112,7 @@ func TestInjectedRegressionsFail(t *testing.T) {
 		"req_per_s/10":     func(r map[string]any) { set(r, "req_per_s", get(r, "req_per_s")/10) },
 		"alloc_mb*2":       func(r map[string]any) { set(r, "alloc_mb", get(r, "alloc_mb")*2) },
 		"lc_p99_ms*1.2":    func(r map[string]any) { set(r, "lc_p99_ms", get(r, "lc_p99_ms")*1.2) },
+		"alloc_mb*1.2":     func(r map[string]any) { set(r, "alloc_mb", get(r, "alloc_mb")*1.2) },
 		"higher fail rate": func(r map[string]any) { r["failed"] = 6 },
 	} {
 		runs := fixture()
@@ -133,6 +134,14 @@ func TestInjectedRegressionsFail(t *testing.T) {
 	}
 	if _, rep := compareRuns(t, runs); verdicts(rep)["req_per_s"] != "regressed" {
 		t.Errorf("req_per_s/10: verdict %s", verdicts(rep)["req_per_s"])
+	}
+	// Worse, but within the 15% bound.
+	runs = fixture()
+	for _, r := range runs[1] {
+		set(r, "alloc_mb", get(r, "alloc_mb")*1.1)
+	}
+	if code, rep := compareRuns(t, runs); code != 0 || verdicts(rep)["alloc_mb"] != "ok" {
+		t.Errorf("alloc_mb*1.1: exit %d, verdict %s", code, verdicts(rep)["alloc_mb"])
 	}
 }
 
@@ -156,16 +165,21 @@ func TestSpreadAboveBoundUnresolved(t *testing.T) {
 	}
 }
 
-func TestGainNeedsNineOfTenWins(t *testing.T) {
-	for wins, want := range map[int]string{10: "gain", 9: "gain", 8: "ok"} {
+func TestGainNeedsNineOfTenWinsPastTheIQR(t *testing.T) {
+	for _, c := range []struct {
+		wins   int
+		factor float64
+		want   string
+	}{{10, 1.5, "gain"}, {9, 1.5, "gain"}, {8, 1.5, "ok"}, {10, 1.001, "ok"}} {
 		runs := fixture()
-		for i := range wins {
-			set(runs[1][i], "req_per_s", get(runs[1][i], "req_per_s")*1.5)
+		for i := range c.wins {
+			set(runs[1][i], "req_per_s", get(runs[1][i], "req_per_s")*c.factor)
 		}
 		code, rep := compareRuns(t, runs)
 		m := rep.Workloads[0].Metrics[1]
-		if code != 0 || m.Name != "req_per_s" || m.Wins != wins || m.Verdict != want {
-			t.Errorf("%d wins: exit %d, %s wins %d verdict %s, want %s", wins, code, m.Name, m.Wins, m.Verdict, want)
+		if code != 0 || m.Name != "req_per_s" || m.Wins != c.wins || m.Verdict != c.want {
+			t.Errorf("%d wins by x%g: exit %d, %s wins %d verdict %s, want %s",
+				c.wins, c.factor, code, m.Name, m.Wins, m.Verdict, c.want)
 		}
 	}
 }
