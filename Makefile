@@ -40,7 +40,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build test-budget race
+# The one definition of the repository check; see scripts/check.sh.
+check:
+	sh scripts/check.sh
 
 # The verification gate every perf PR must pass: vet, race-enabled
 # tests (includes the differential oracles, metamorphic properties and

@@ -172,9 +172,7 @@ func main() {
 		}
 		opts.Chaos = &prog
 	}
-	if *defragOn {
-		opts.Defrag = &chaos.DefragConfig{}
-	}
+	opts.Defrag = *defragOn
 	var prof *perf.Profiler
 	if *perfOn {
 		prof = perf.New()

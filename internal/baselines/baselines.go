@@ -90,7 +90,7 @@ func DSACO(t *topo.Topology, seed int64) core.Options {
 		Policy: engine.GreedyPolicy{},
 		MakeLC: func(e *engine.Engine, seed int64) any {
 			s := dcgbe.NewVariant(e, dcgbe.Variant{Agent: "sac"}, seed)
-			s.AllowFn = geoAllow(e, 500)
+			s.AllowFn = geoAllow(e)
 			return s
 		},
 		MakeBE: func(e *engine.Engine, seed int64) any {
@@ -103,13 +103,13 @@ func DSACO(t *topo.Topology, seed int64) core.Options {
 }
 
 // geoAllow permits nodes whose cluster is the request's own or within
-// radiusKm of it.
-func geoAllow(e *engine.Engine, radiusKm float64) func(*engine.Request, *engine.Node) bool {
+// topo.GeoRadiusKm of it.
+func geoAllow(e *engine.Engine) func(*engine.Request, *engine.Node) bool {
 	t := e.Topology()
 	return func(r *engine.Request, n *engine.Node) bool {
 		if n.Cluster == r.Cluster {
 			return true
 		}
-		return t.DistanceKm(r.Cluster, n.Cluster) <= radiusKm
+		return t.DistanceKm(r.Cluster, n.Cluster) <= topo.GeoRadiusKm
 	}
 }

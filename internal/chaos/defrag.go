@@ -8,44 +8,26 @@ import (
 	"repro/internal/topo"
 )
 
-// DefragConfig tunes the periodic defragmentation pass. Zero values
-// take the defaults below.
-type DefragConfig struct {
-	// Every is the pass period (default 800ms).
-	Every time.Duration
-	// MaxMoves caps migrations per pass (default 4) so a pass never
-	// floods the WAN with checkpoints.
-	MaxMoves int
-	// HotUtil marks donors: nodes at or above this dominant-share
-	// utilization shed their newest BE work (default 0.75).
-	HotUtil float64
-	// ColdUtil marks receivers: only nodes below this utilization accept
-	// migrated work (default 0.60), keeping the pass monotone — a
-	// receiver can never become a donor within the same pass.
-	ColdUtil float64
-}
-
-func (c DefragConfig) withDefaults() DefragConfig {
-	if c.Every <= 0 {
-		c.Every = 800 * time.Millisecond
-	}
-	if c.MaxMoves <= 0 {
-		c.MaxMoves = 4
-	}
-	if c.HotUtil <= 0 {
-		c.HotUtil = 0.75
-	}
-	if c.ColdUtil <= 0 {
-		c.ColdUtil = 0.60
-	}
-	return c
-}
+// The fixed parameters of the periodic defragmentation pass.
+const (
+	// DefragEvery is the pass period.
+	DefragEvery = 800 * time.Millisecond
+	// DefragMaxMoves caps migrations per pass so a pass never floods
+	// the WAN with checkpoints.
+	DefragMaxMoves = 4
+	// defragHotUtil marks donors: nodes at or above this dominant-share
+	// utilization shed their newest BE work.
+	defragHotUtil = 0.75
+	// defragColdUtil marks receivers: only nodes below this utilization
+	// accept migrated work, keeping the pass monotone — a receiver can
+	// never become a donor within the same pass.
+	defragColdUtil = 0.60
+)
 
 // Defragmenter periodically batch-migrates BE pods off pressured nodes
 // onto cold reachable ones (KubeDSM-style descheduling, built on
 // engine.Migrate so every move replays deterministically).
 type Defragmenter struct {
-	cfg DefragConfig
 	eng *engine.Engine
 	tp  *topo.Topology
 	tr  *obs.Tracer
@@ -60,9 +42,8 @@ type Defragmenter struct {
 }
 
 // NewDefragmenter builds a defragmenter over the engine's workers.
-func NewDefragmenter(e *engine.Engine, cfg DefragConfig) *Defragmenter {
+func NewDefragmenter(e *engine.Engine) *Defragmenter {
 	return &Defragmenter{
-		cfg:   cfg.withDefaults(),
 		eng:   e,
 		tp:    e.Topology(),
 		tr:    e.Tracer(),
@@ -70,15 +51,9 @@ func NewDefragmenter(e *engine.Engine, cfg DefragConfig) *Defragmenter {
 	}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (d *Defragmenter) Config() DefragConfig { return d.cfg }
-
-// Period returns the pass period.
-func (d *Defragmenter) Period() time.Duration { return d.cfg.Every }
-
 // hot reports whether a node is a donor candidate.
 func (d *Defragmenter) hot(n *engine.Node) bool {
-	return !n.Down() && n.Utilization() >= d.cfg.HotUtil && n.RunningBECount() > 0
+	return !n.Down() && n.Utilization() >= defragHotUtil && n.RunningBECount() > 0
 }
 
 // Score counts donor candidates — hot nodes with migratable BE work.
@@ -97,7 +72,7 @@ func (d *Defragmenter) Score() int {
 
 // Run performs one defragmentation pass: greedily migrate the newest
 // BE request of each hot donor to the coldest reachable receiver that
-// fits it, up to MaxMoves. Returns the number of migrations started.
+// fits it, up to DefragMaxMoves. Returns the number of migrations started.
 func (d *Defragmenter) Run() int {
 	d.Passes++
 	if d.Score() == 0 {
@@ -106,7 +81,7 @@ func (d *Defragmenter) Run() int {
 	moves := 0
 	donors := int64(0)
 	for _, src := range d.nodes {
-		if moves >= d.cfg.MaxMoves {
+		if moves >= DefragMaxMoves {
 			break
 		}
 		if !d.hot(src) {
@@ -122,7 +97,7 @@ func (d *Defragmenter) Run() int {
 			if dst == src || dst.Down() {
 				continue
 			}
-			if dst.Utilization() >= d.cfg.ColdUtil {
+			if dst.Utilization() >= defragColdUtil {
 				continue
 			}
 			if !d.tp.Reachable(src.Cluster, dst.Cluster) {

@@ -9,10 +9,10 @@ import (
 
 func TestDefragNoopOnCompactFleet(t *testing.T) {
 	s, e, _ := env(t)
-	// One BE per node: every node is far below HotUtil.
+	// One BE per node: every node is far below defragHotUtil.
 	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	e.DispatchLocal(e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 2)
-	d := NewDefragmenter(e, DefragConfig{})
+	d := NewDefragmenter(e)
 	if got := d.Score(); got != 0 {
 		t.Fatalf("Score on compact fleet = %d, want 0", got)
 	}
@@ -34,7 +34,7 @@ func TestDefragMovesBEOffHotNode(t *testing.T) {
 	for id := int64(1); id <= 4; id++ {
 		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
-	d := NewDefragmenter(e, DefragConfig{})
+	d := NewDefragmenter(e)
 	if got := d.Score(); got != 1 {
 		t.Fatalf("Score = %d, want 1 hot donor", got)
 	}
@@ -66,7 +66,7 @@ func TestDefragRespectsPartition(t *testing.T) {
 		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 2)
 	}
 	tp.Net().Partition(0, 1)
-	d := NewDefragmenter(e, DefragConfig{})
+	d := NewDefragmenter(e)
 	if moved := d.Run(); moved != 0 {
 		t.Fatalf("defrag crossed a partition: moved %d", moved)
 	}
@@ -87,7 +87,7 @@ func TestDefragScoreAllocFree(t *testing.T) {
 	for id := int64(1); id <= 4; id++ {
 		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
-	d := NewDefragmenter(e, DefragConfig{})
+	d := NewDefragmenter(e)
 	if allocs := testing.AllocsPerRun(100, func() { d.Score() }); allocs != 0 {
 		t.Fatalf("Score allocates %.1f per run, want 0", allocs)
 	}
@@ -99,7 +99,7 @@ func BenchmarkDefragScore(b *testing.B) {
 		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
 	_ = s
-	d := NewDefragmenter(e, DefragConfig{})
+	d := NewDefragmenter(e)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,14 +108,13 @@ func BenchmarkDefragScore(b *testing.B) {
 }
 
 func TestDefragPeriodDefaults(t *testing.T) {
-	_, e, _ := env(t)
-	d := NewDefragmenter(e, DefragConfig{})
-	c := d.Config()
-	if c.Every != 800*time.Millisecond || c.MaxMoves != 4 || c.HotUtil != 0.75 || c.ColdUtil != 0.60 {
-		t.Fatalf("defaults not filled: %+v", c)
+	if DefragEvery != 800*time.Millisecond || DefragMaxMoves != 4 || defragHotUtil != 0.75 || defragColdUtil != 0.60 {
+		t.Fatalf("defrag parameters drifted: every %v, %d moves, hot %v, cold %v",
+			DefragEvery, DefragMaxMoves, defragHotUtil, defragColdUtil)
 	}
-	d2 := NewDefragmenter(e, DefragConfig{Every: time.Second, MaxMoves: 1, HotUtil: 0.5, ColdUtil: 0.4})
-	if d2.Period() != time.Second || d2.Config().MaxMoves != 1 {
-		t.Fatalf("overrides lost: %+v", d2.Config())
+	// Receivers are chosen below the cold threshold and donors at or
+	// above the hot one; the gap keeps a pass monotone.
+	if defragColdUtil >= defragHotUtil {
+		t.Fatal("cold threshold must lie below the hot threshold")
 	}
 }

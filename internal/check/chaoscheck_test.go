@@ -48,7 +48,7 @@ func chaosRun(t testing.TB, seed int64, rc chaos.RandConfig) chaosRunResult {
 	opts.TraceTag = "chaos"
 	opts.Verify = true
 	opts.Chaos = &prog
-	opts.Defrag = &chaos.DefragConfig{}
+	opts.Defrag = true
 	outcomes := map[int64]int{}
 	opts.OnOutcome = func(o engine.Outcome) { outcomes[o.Req.ID]++ }
 	sys := core.New(opts)

@@ -8,7 +8,7 @@ import (
 
 // FuzzChaosProgram drives the survival oracle with fuzzer-chosen fault
 // mixes and seeds: whatever program the fuzzer draws, the run must
-// never lose or duplicate a request, and the engine/cgroup self-checks
+// never lose or duplicate a request, and the engine and SLO self-checks
 // must be green after every revive (`make fuzz-smoke` gives it a slice
 // of the native fuzz budget).
 func FuzzChaosProgram(f *testing.F) {

@@ -7,9 +7,9 @@
 //
 //   - Verifier collects invariant violations during a run. core.New
 //     wires one up behind Options.Verify: it sweeps engine accounting
-//     (engine.SelfCheck), cgroup tree limits (cgroup.SelfCheck) and SLO
-//     episode disjointness on every collection tick, and cross-checks
-//     every DSS-LC min-cost-flow solve via the dsslc.OnSolve hook.
+//     (engine.SelfCheck) and SLO episode disjointness on every
+//     collection tick, and cross-checks every DSS-LC min-cost-flow
+//     solve via the dsslc.OnSolve hook.
 //   - RefGraph (refflow.go) is a deliberately naive Bellman-Ford /
 //     Edmonds-Karp reference implementation of min-cost max-flow, used
 //     by the differential tests and fuzz targets to corroborate the
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cgroup"
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/obs"
@@ -32,7 +31,7 @@ import (
 // Violation is one recorded invariant breach.
 type Violation struct {
 	At     time.Duration // virtual time of the sweep that caught it
-	Rule   string        // "engine", "slo", "cgroup", "flow"
+	Rule   string        // "engine", "slo", "flow"
 	Detail string
 }
 
@@ -86,15 +85,6 @@ func (v *Verifier) SweepEngine(e *engine.Engine) {
 	v.Checks++
 	if err := e.SelfCheck(); err != nil {
 		v.fail("engine", err)
-	}
-}
-
-// SweepCgroup validates one node's cgroup tree against the §4.2
-// parent-bound invariant.
-func (v *Verifier) SweepCgroup(h *cgroup.Hierarchy) {
-	v.Checks++
-	if err := h.SelfCheck(); err != nil {
-		v.fail("cgroup", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cgroup"
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/obs"
@@ -44,14 +43,12 @@ func TestVerifierSweepsClean(t *testing.T) {
 		t.Fatal("no checks executed")
 	}
 
-	h := cgroup.NewHierarchy(res.V(4000, 8192, 500))
-	v.SweepCgroup(h)
 	a := obs.NewSLOAccountant(obs.SLOConfig{})
 	a.Observe(1, "svc", "LC", time.Second, 10, true, true)
 	a.Finalize()
 	v.SweepSLO(a)
 	if err := v.Err(); err != nil {
-		t.Fatalf("clean cgroup/slo sweeps reported violations: %v", err)
+		t.Fatalf("clean slo sweep reported violations: %v", err)
 	}
 }
 

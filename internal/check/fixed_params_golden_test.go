@@ -64,7 +64,7 @@ func fixedParamRun(t *testing.T, name string) (stream, report string) {
 			t.Fatal(err)
 		}
 		opts.Chaos = &prog
-		opts.Defrag = &chaos.DefragConfig{}
+		opts.Defrag = true
 	case "dcgbe-dualspace":
 		opts.MakeBE = func(e *engine.Engine, seed int64) any {
 			be = dcgbe.New(e, seed)

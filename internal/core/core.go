@@ -60,12 +60,21 @@ type OutcomeObserver interface {
 	NotifyOutcome(o engine.Outcome)
 }
 
-// Options configures a System. Zero values select the paper's Tango
-// configuration where meaningful.
+// Fixed system parameters (DESIGN.md lists their sources).
+const (
+	// dispatchEvery is the dispatcher cadence.
+	dispatchEvery = 50 * time.Millisecond
+	// collectPeriod is the metrics collection period (800 ms in §6.2).
+	collectPeriod = 800 * time.Millisecond
+	// lcAbandonFactor forwards to engine.Config.
+	lcAbandonFactor = 1.0
+)
+
+// Options configures a System over the default service catalog. Zero
+// values select the paper's Tango configuration where meaningful.
 type Options struct {
-	Topo    *topo.Topology
-	Catalog *trace.Catalog
-	Seed    int64
+	Topo *topo.Topology
+	Seed int64
 
 	// Policy is the node resource policy; nil = HRM regulations.
 	Policy engine.Policy
@@ -88,15 +97,6 @@ type Options struct {
 	// ScaleLatency models the per-admission vertical scaling cost
 	// (D-VPA's 23 ms; 0 for static allocation baselines).
 	ScaleLatency time.Duration
-	// DispatchEvery is the dispatcher cadence.
-	DispatchEvery time.Duration
-	// Period is the metrics collection period (800 ms in §6.2).
-	Period time.Duration
-	// LCAbandonFactor forwards to engine.Config.
-	LCAbandonFactor float64
-	// GeoRadiusKm bounds LC candidate clusters (footnote 4) of the
-	// default DSS-LC and of one-request LC schedulers; 0 = 500 km.
-	GeoRadiusKm float64
 	// LCShards is the number of geographic shards (internal/shard) the
 	// default DSS-LC partitions the topology into. Shards solve
 	// concurrently, followed by a sequential cross-shard overflow pass.
@@ -138,16 +138,13 @@ type Options struct {
 	// every fault (and windowed clear) becomes an ordinary sim event, so
 	// a chaos run replays byte-identically under the same scenario and
 	// seed. Nil keeps the system exactly digest-identical to a build
-	// without the chaos subsystem.
+	// without the chaos subsystem. Flash-crowd bursts scale a template
+	// of 60 LC / 25 BE requests per second.
 	Chaos *chaos.Program
-	// ChaosGen overrides the flash-crowd burst template (catalog plus
-	// base LC/BE rates the fault Factor scales). Nil uses 60 LC / 25 BE
-	// requests per second over the default catalog.
-	ChaosGen *trace.GenConfig
-	// Defrag, when non-nil, runs a periodic defragmentation pass that
-	// live-migrates the newest BE work off hot nodes onto cold reachable
-	// ones (see chaos.DefragConfig for the thresholds).
-	Defrag *chaos.DefragConfig
+	// Defrag runs a periodic defragmentation pass that live-migrates
+	// the newest BE work off hot nodes onto cold reachable ones (see
+	// chaos.Defragmenter for the thresholds).
+	Defrag bool
 
 	// Profiler, when non-nil, enables phase profiling: the DSS-LC solve
 	// stages, the dispatcher rounds, admission checks and the collector
@@ -218,35 +215,20 @@ func New(o Options) *System {
 	if o.Topo == nil {
 		panic("core: Options.Topo required")
 	}
-	if o.Catalog == nil {
-		o.Catalog = trace.DefaultCatalog()
-	}
 	if o.Policy == nil {
 		o.Policy = hrm.NewRegulations()
-	}
-	if o.DispatchEvery <= 0 {
-		o.DispatchEvery = 50 * time.Millisecond
-	}
-	if o.Period <= 0 {
-		o.Period = 800 * time.Millisecond
-	}
-	if o.LCAbandonFactor == 0 {
-		o.LCAbandonFactor = 1
-	}
-	if o.GeoRadiusKm == 0 {
-		o.GeoRadiusKm = 500
 	}
 
 	s := &System{
 		Sim:      sim.New(),
 		Topo:     o.Topo,
-		Catalog:  o.Catalog,
+		Catalog:  trace.DefaultCatalog(),
 		opts:     o,
 		lcQueues: map[topo.ClusterID][]*engine.Request{},
 		lcAssign: dsslc.Assignment{},
 		central:  o.Topo.CentralCluster().ID,
 	}
-	s.Metrics = NewCollector(o.Period)
+	s.Metrics = NewCollector(collectPeriod)
 	s.SLO = obs.NewSLOAccountant(obs.SLOConfig{})
 	if o.TraceSink != nil {
 		s.Tracer = obs.NewTracer(s.Sim.Now, o.TraceSink)
@@ -256,9 +238,9 @@ func New(o Options) *System {
 		}
 	}
 	s.Engine = engine.New(engine.Config{
-		Sim: s.Sim, Topo: o.Topo, Catalog: o.Catalog, Policy: o.Policy,
+		Sim: s.Sim, Topo: o.Topo, Catalog: s.Catalog, Policy: o.Policy,
 		ScaleLatency:    o.ScaleLatency,
-		LCAbandonFactor: o.LCAbandonFactor,
+		LCAbandonFactor: lcAbandonFactor,
 		OnOutcome:       s.onOutcome,
 		OnDisplaced:     s.redispatch,
 		Tracer:          s.Tracer,
@@ -283,7 +265,6 @@ func New(o Options) *System {
 		s.Verifier = check.NewVerifier(s.Sim.Now)
 	}
 	if sh, ok := s.lcSched.(*shard.Scheduler); ok {
-		sh.GeoRadiusKm = o.GeoRadiusKm
 		sh.Tracer = s.Tracer
 		sh.Prof = o.Profiler
 		sh.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
@@ -312,14 +293,10 @@ func New(o Options) *System {
 		be.SlackFn = s.nodeSlack
 	}
 	if o.Chaos != nil {
-		gen := trace.GenConfig{Catalog: o.Catalog, LCRatePerSec: 60, BERatePerSec: 25}
-		if o.ChaosGen != nil {
-			gen = *o.ChaosGen
-		}
 		s.masterStall = map[topo.ClusterID]time.Duration{}
 		s.Chaos = chaos.NewInjector(*o.Chaos, chaos.InjectorConfig{
 			Sim: s.Sim, Engine: s.Engine, Topo: s.Topo, Tracer: s.Tracer,
-			Gen:            gen,
+			Gen:            trace.GenConfig{Catalog: s.Catalog, LCRatePerSec: 60, BERatePerSec: 25},
 			Inject:         s.Inject,
 			StallMaster:    func(c topo.ClusterID, until time.Duration) { s.masterStall[c] = until },
 			StallCollector: func(until time.Duration) { s.collStall = until },
@@ -333,8 +310,8 @@ func New(o Options) *System {
 			},
 		})
 	}
-	if o.Defrag != nil {
-		s.Defrag = chaos.NewDefragmenter(s.Engine, *o.Defrag)
+	if o.Defrag {
+		s.Defrag = chaos.NewDefragmenter(s.Engine)
 	}
 	s.Metrics.Bind(s)
 	return s
@@ -384,7 +361,7 @@ type pickLC struct {
 func (p pickLC) ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch)) {
 	s := p.sys
 	for _, b := range batches {
-		cands := sched.CandidatesLC(s.Engine, b.Cluster, s.opts.GeoRadiusKm)
+		cands := sched.CandidatesLC(s.Engine, b.Cluster, topo.GeoRadiusKm)
 		for i, r := range b.Reqs {
 			if nid, ok := p.Pick(r, cands); ok {
 				if id := sched.Audit(s.Tracer, p.Scheduler, r, cands, nid, ok); id >= 0 {
@@ -472,13 +449,13 @@ func (s *System) accept(tr trace.Request) {
 // Start arms the periodic dispatchers, metric sampler, booster and
 // re-assurer.
 func (s *System) Start() {
-	s.periodics = append(s.periodics, s.Sim.Every(s.opts.DispatchEvery, s.dispatch))
-	s.periodics = append(s.periodics, s.Sim.Every(s.opts.Period, s.collectorTick))
+	s.periodics = append(s.periodics, s.Sim.Every(dispatchEvery, s.dispatch))
+	s.periodics = append(s.periodics, s.Sim.Every(collectPeriod, s.collectorTick))
 	if s.Chaos != nil {
 		s.Chaos.Arm()
 	}
 	if s.Defrag != nil {
-		s.periodics = append(s.periodics, s.Sim.Every(s.Defrag.Period(), func() { s.Defrag.Run() }))
+		s.periodics = append(s.periodics, s.Sim.Every(chaos.DefragEvery, func() { s.Defrag.Run() }))
 	}
 	if s.booster != nil {
 		s.periodics = append(s.periodics, s.booster.Start(s.Sim))
@@ -487,7 +464,7 @@ func (s *System) Start() {
 		s.periodics = append(s.periodics, s.reassurer.Start(s.Sim))
 	}
 	if s.Verifier != nil {
-		s.periodics = append(s.periodics, s.Sim.Every(s.opts.Period, func() {
+		s.periodics = append(s.periodics, s.Sim.Every(collectPeriod, func() {
 			s.Verifier.SweepEngine(s.Engine)
 			s.Verifier.SweepSLO(s.SLO)
 		}))
@@ -1191,10 +1168,10 @@ func (s *System) ConfigMap(name string) map[string]string {
 		"boost":             fmt.Sprintf("%t", o.Boost),
 		"central_be":        fmt.Sprintf("%t", o.CentralBE),
 		"scale_latency":     o.ScaleLatency.String(),
-		"dispatch_every":    o.DispatchEvery.String(),
-		"period":            o.Period.String(),
-		"lc_abandon_factor": fmt.Sprintf("%g", o.LCAbandonFactor),
-		"geo_radius_km":     fmt.Sprintf("%g", o.GeoRadiusKm),
+		"dispatch_every":    dispatchEvery.String(),
+		"period":            collectPeriod.String(),
+		"lc_abandon_factor": fmt.Sprintf("%g", lcAbandonFactor),
+		"geo_radius_km":     fmt.Sprintf("%g", topo.GeoRadiusKm),
 	}
 	// Chaos/defrag keys exist only when enabled, so every pre-chaos
 	// config digest is preserved verbatim.
@@ -1204,8 +1181,7 @@ func (s *System) ConfigMap(name string) map[string]string {
 		m["chaos_digest"] = p.Digest()
 	}
 	if s.Defrag != nil {
-		cfg := s.Defrag.Config()
-		m["defrag"] = fmt.Sprintf("%s/%d moves", cfg.Every, cfg.MaxMoves)
+		m["defrag"] = fmt.Sprintf("%s/%d moves", chaos.DefragEvery, chaos.DefragMaxMoves)
 	}
 	return m
 }

@@ -5,14 +5,16 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/shard"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
-// Options.GeoRadiusKm bounds the default DSS-LC's candidate clusters
-// (footnote 4). On the testbed every pair of clusters is farther apart
-// than 50 km, so with that radius a hot cluster's overload must stay
-// home: no completed LC request may run outside its arrival cluster.
+// A caller-supplied DSS-LC keeps its own GeoRadiusKm (footnote 4): core
+// wires its observers but leaves the radius alone. On the testbed every
+// pair of clusters is farther apart than 50 km, so with that radius a
+// hot cluster's overload must stay home: no completed LC request may
+// run outside its arrival cluster.
 func TestGeoRadiusBoundsDefaultDSSLC(t *testing.T) {
 	tp := topo.PhysicalTestbed()
 	var cs []topo.ClusterID
@@ -25,7 +27,11 @@ func TestGeoRadiusBoundsDefaultDSSLC(t *testing.T) {
 	gen.ClusterWeights = []float64{6, 1, 1, 1}
 
 	o := Tango(tp, 11)
-	o.GeoRadiusKm = 50
+	o.MakeLC = func(e *engine.Engine, seed int64) any {
+		sh := shard.New(e, seed, 1, 0)
+		sh.GeoRadiusKm = 50
+		return sh
+	}
 	completed, away := 0, 0
 	o.OnOutcome = func(out engine.Outcome) {
 		if out.Req.Class != trace.LC || !out.Completed {

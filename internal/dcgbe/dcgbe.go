@@ -40,6 +40,12 @@ const FeatureDim = 7
 // EmbDim is the encoder output width.
 const EmbDim = 32
 
+// maxTrainBatch bounds the transitions used per training interval;
+// larger intervals are stride-subsampled. This keeps the per-decision
+// training cost constant at scale (the paper trains on GPU; this
+// reproduction runs the networks on the CPU).
+const maxTrainBatch = 32
+
 // Agent abstracts A2C vs SAC for the pairing experiments.
 type Agent interface {
 	Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64
@@ -52,15 +58,9 @@ type Scheduler struct {
 	Agent  Agent
 	// Eta weighs the long-term reward (η = 1 in the paper).
 	Eta float64
-	// TrainEvery is N̂, the number of actions between training intervals.
-	TrainEvery int
 	// SlackFn supplies the per-node slack score feature (wired to the
 	// QoS re-assurer by core; defaults to zero).
 	SlackFn func(topo.NodeID) float64
-	// Explore: sample from the policy (true, training) or act greedily.
-	Explore bool
-	// OnPick, when set, observes every scheduling decision (telemetry).
-	OnPick func(topo.NodeID)
 	// AllowFn, when set, restricts the candidate set before the context
 	// filter (e.g. the DSACO baseline limits LC offloading to geo-nearby
 	// clusters). Nodes with AllowFn == false are masked out.
@@ -68,11 +68,11 @@ type Scheduler struct {
 	// DisableMasking turns off policy context filtering (ablation
 	// bench): the agent may pick nodes that cannot host the request.
 	DisableMasking bool
-	// MaxTrainBatch bounds the transitions used per training interval;
-	// larger intervals are stride-subsampled. This keeps the per-decision
-	// training cost constant at scale (the paper trains on GPU; this
-	// reproduction runs the networks on the CPU).
-	MaxTrainBatch int
+
+	// trainEvery is N̂, the number of actions between training
+	// intervals: 32, or 4N on fleets above 32 workers, which train over
+	// longer (subsampled) intervals so per-decision cost stays flat.
+	trainEvery int
 
 	name    string
 	graph   *gnn.Graph
@@ -161,17 +161,14 @@ func NewVariant(e *engine.Engine, v Variant, seed int64) *Scheduler {
 	}
 
 	s := &Scheduler{
-		Engine: e, Agent: ag, Eta: 1, TrainEvery: 32, MaxTrainBatch: 32,
-		Explore: true,
-		name:    name,
-		index:   map[topo.NodeID]int{},
-		rng:     rand.New(rand.NewSource(seed + 7)),
+		Engine: e, Agent: ag, Eta: 1, trainEvery: 32,
+		name:  name,
+		index: map[topo.NodeID]int{},
+		rng:   rand.New(rand.NewSource(seed + 7)),
 	}
 	s.nodes = e.Nodes()
-	// Scale-adaptive cadence: on large fleets, train over longer
-	// intervals (subsampled) so per-decision training cost stays flat.
 	if n := len(s.nodes); n > 32 {
-		s.TrainEvery = 4 * n
+		s.trainEvery = 4 * n
 	}
 	for i, n := range s.nodes {
 		s.index[n.ID] = i
@@ -187,8 +184,9 @@ func NewVariant(e *engine.Engine, v Variant, seed int64) *Scheduler {
 }
 
 // buildGraph connects workers within a cluster pairwise (LAN) and links
-// clusters within the 500 km neighbourhood through their first workers
-// (WAN), giving GraphSAGE a topology that mirrors the LAN/WAN structure.
+// clusters within the topo.GeoRadiusKm neighbourhood through their
+// first workers (WAN), giving GraphSAGE a topology that mirrors the
+// LAN/WAN structure.
 func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]int) *gnn.Graph {
 	var edges [][2]int
 	for _, c := range t.Clusters {
@@ -203,10 +201,10 @@ func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]in
 		if len(c.Workers) == 0 {
 			continue
 		}
-		// The clusters within 500 km, in Topology.NeighborClusters order,
-		// each pair once (undirected).
+		// The clusters within the neighbourhood, in
+		// Topology.NeighborClusters order, each pair once (undirected).
 		for _, other := range t.Clusters {
-			if other.ID <= c.ID || len(other.Workers) == 0 || t.DistanceKm(c.ID, other.ID) > 500 {
+			if other.ID <= c.ID || len(other.Workers) == 0 || t.DistanceKm(c.ID, other.ID) > topo.GeoRadiusKm {
 				continue
 			}
 			edges = append(edges, [2]int{index[c.Workers[0]], index[other.Workers[0]]})
@@ -241,7 +239,7 @@ func (s *Scheduler) stateFeatures(cpuDem, memDem int64) *nn.Mat {
 }
 
 // Pick implements sched.Scheduler: it chooses the target node for one BE
-// request, records the transition, and trains every TrainEvery actions.
+// request, records the transition, and trains every N̂ actions.
 func (s *Scheduler) Pick(r *engine.Request, _ []*engine.Node) (topo.NodeID, bool) {
 	if len(s.nodes) == 0 {
 		return 0, false
@@ -335,21 +333,10 @@ func (s *Scheduler) probsCached(at time.Duration, k cacheKey, x *nn.Mat, mask []
 	return probs
 }
 
-// choose samples from (or greedily maximizes over) the distribution.
-// Sampling never returns a masked (p = 0) node, even when rounding
-// leaves Σp below the drawn value.
-func (s *Scheduler) choose(probs []float64) int {
-	if !s.Explore {
-		best, bi := -1.0, 0
-		for i, p := range probs {
-			if p > best {
-				best, bi = p, i
-			}
-		}
-		return bi
-	}
-	return rl.Sample(s.rng, probs)
-}
+// choose samples the target from the distribution. Sampling never
+// returns a masked (p = 0) node, even when rounding leaves Σp below the
+// drawn value.
+func (s *Scheduler) choose(probs []float64) int { return rl.Sample(s.rng, probs) }
 
 // record books the transition, trains on schedule, and returns the pick.
 func (s *Scheduler) record(x *nn.Mat, mask []bool, a int) (topo.NodeID, bool) {
@@ -359,11 +346,8 @@ func (s *Scheduler) record(x *nn.Mat, mask []bool, a int) (topo.NodeID, bool) {
 		tr:     rl.Transition{Graph: s.graph, X: x, Mask: mask, Action: a},
 		rShort: s.shortReward(chosen),
 	})
-	if len(s.pending) >= s.TrainEvery {
+	if len(s.pending) >= s.trainEvery {
 		s.train()
-	}
-	if s.OnPick != nil {
-		s.OnPick(chosen.ID)
 	}
 	return chosen.ID, true
 }
@@ -416,11 +400,11 @@ func (s *Scheduler) train() {
 	rLong := 1 - math.Exp(-s.completedWork)
 	s.completedWork = 0
 	src := s.pending
-	if s.MaxTrainBatch > 0 && len(src) > s.MaxTrainBatch {
+	if len(src) > maxTrainBatch {
 		// Stride-subsample the interval to bound the training cost.
-		stride := float64(len(src)) / float64(s.MaxTrainBatch)
-		sampled := make([]pendingReward, 0, s.MaxTrainBatch)
-		for i := 0; i < s.MaxTrainBatch; i++ {
+		stride := float64(len(src)) / float64(maxTrainBatch)
+		sampled := make([]pendingReward, 0, maxTrainBatch)
+		for i := 0; i < maxTrainBatch; i++ {
 			sampled = append(sampled, src[int(float64(i)*stride)])
 		}
 		src = sampled

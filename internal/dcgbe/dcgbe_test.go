@@ -116,7 +116,7 @@ func TestAllFullFallsBackUnmasked(t *testing.T) {
 func TestTrainingHappensEveryN(t *testing.T) {
 	_, e, _ := env(2)
 	s := New(e, 4)
-	s.TrainEvery = 8
+	s.trainEvery = 8
 	for i := int64(0); i < 17; i++ {
 		s.Pick(beReq(e, i), nil)
 	}
@@ -237,15 +237,15 @@ func TestLearnsToAvoidOverloadedCluster(t *testing.T) {
 		},
 	})
 	s := New(e, 9)
-	s.TrainEvery = 16
+	s.trainEvery = 16
 	var picks []topo.NodeID
-	s.OnPick = func(id topo.NodeID) { picks = append(picks, id) }
 	// Stream BE requests; the engine runs so queues and completions are real.
 	id := int64(0)
 	ev := s0.Every(40*time.Millisecond, func() {
 		r := beReq(e, id)
 		id++
 		if nid, ok := s.Pick(r, nil); ok {
+			picks = append(picks, nid)
 			e.Dispatch(r, nid)
 		}
 	})

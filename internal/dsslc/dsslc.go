@@ -58,7 +58,8 @@ import (
 // dispatcher's one LC entry point; one shard is the global DSS-LC.
 type Scheduler struct {
 	Engine *engine.Engine
-	// GeoRadiusKm bounds candidate clusters (footnote 4; 500 km).
+	// GeoRadiusKm bounds candidate clusters (footnote 4; New sets
+	// topo.GeoRadiusKm).
 	GeoRadiusKm float64
 	rng         *rand.Rand
 
@@ -134,7 +135,7 @@ type Scheduler struct {
 
 // New creates a DSS-LC scheduler with the paper's 500 km geo radius.
 func New(e *engine.Engine, seed int64) *Scheduler {
-	return &Scheduler{Engine: e, GeoRadiusKm: 500, rng: rand.New(rand.NewSource(seed))}
+	return &Scheduler{Engine: e, GeoRadiusKm: topo.GeoRadiusKm, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name reports the algorithm name.

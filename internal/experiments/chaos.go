@@ -44,9 +44,7 @@ func ChaosMigration(cfg Config) *Result {
 		p := prog
 		o.Chaos = &p
 		o.Verify = true
-		if defrag {
-			o.Defrag = &chaos.DefragConfig{}
-		}
+		o.Defrag = defrag
 		return cfg.run(o, reqs, cfg.Duration+cfg.Drain)
 	}
 
@@ -110,7 +108,7 @@ func ChaosSurvival(cfg Config) *Result {
 
 	o := core.Tango(tp, cfg.Seed)
 	o.Chaos = &prog
-	o.Defrag = &chaos.DefragConfig{}
+	o.Defrag = true
 	o.Verify = true
 	sys := cfg.run(o, reqs, cfg.Duration+cfg.Drain)
 	sys.SLO.Finalize()

@@ -86,8 +86,8 @@ func (c Config) apply(o core.Options) core.Options {
 		}
 		o.Chaos = &prog
 	}
-	if c.Defrag && o.Defrag == nil {
-		o.Defrag = &chaos.DefragConfig{}
+	if c.Defrag {
+		o.Defrag = true
 	}
 	return o
 }
@@ -752,17 +752,6 @@ func AblationPreemption(cfg Config) *Result {
 	}
 	return &Result{ID: "ablation-preemption", Title: "Preemption ablation",
 		Tables: []*metrics.Table{tb}, Values: values}
-}
-
-// All runs the complete suite (DecisionTime excluded: it needs a
-// wall-clock measurer, see cmd/tango-bench).
-func All(cfg Config) []*Result {
-	return []*Result{
-		Fig1(cfg), Fig9(cfg), DVPAMicro(cfg), Fig10(cfg),
-		Fig11ab(cfg), Fig11c(cfg), Fig11d(cfg), Fig12(cfg), Fig13(cfg),
-		Failover(cfg),
-		AblationMasking(cfg), AblationReward(cfg), AblationPreemption(cfg),
-	}
 }
 
 func nonzero(v float64) float64 {

@@ -40,17 +40,37 @@ import (
 // 23ms").
 const DVPAOpLatency = 23 * time.Millisecond
 
+// The fixed HRM parameters.
+const (
+	// minKeepFrac is the fraction of a BE request's demand that LC
+	// preemption must leave it (compressible resources only).
+	minKeepFrac = 0.25
+
+	// boostInterval is the Booster's cadence; boostReserveFrac of each
+	// node's CPU is left unboosted as headroom for arriving LC requests.
+	boostInterval    = 200 * time.Millisecond
+	boostReserveFrac = 0.1
+
+	// alpha and beta are the re-assurer's slack thresholds (α < β,
+	// §4.3) separating poor / stable / excellent quality.
+	alpha = 0.1
+	beta  = 0.5
+	// stepFrac is the small adjustment proportion per tick.
+	stepFrac = 0.1
+	// maxFactor caps a node's override at maxFactor × MinDemand.
+	maxFactor = 3
+	// reassureWindow is the collection window (100 ms in the paper).
+	reassureWindow = 100 * time.Millisecond
+)
+
 // Regulations is the HRM admission/preemption policy (§4.1).
 type Regulations struct {
-	// MinKeepFrac is the fraction of a BE request's demand that
-	// compression must leave it (compressible resources only).
-	MinKeepFrac float64
 	// DisablePreemption turns off BE preemption (ablation).
 	DisablePreemption bool
 }
 
 // NewRegulations returns the default HRM policy.
-func NewRegulations() *Regulations { return &Regulations{MinKeepFrac: 0.25} }
+func NewRegulations() *Regulations { return &Regulations{} }
 
 // Name implements engine.Policy.
 func (p *Regulations) Name() string { return "hrm" }
@@ -97,7 +117,7 @@ func (p *Regulations) Admit(n *engine.Node, r *engine.Request) (res.Vector, bool
 		if needBW > 0 {
 			want.BWMbps = needBW
 		}
-		n.CompressBE(want, p.MinKeepFrac)
+		n.CompressBE(want, minKeepFrac)
 	}
 	if n.Free().Fits(d) {
 		return d, true
@@ -171,28 +191,22 @@ func (p *StaticPartition) Admit(n *engine.Node, r *engine.Request) (res.Vector, 
 // "maximize the use of idle resources" (Figure 4(a)). LC admissions later
 // claw the boost back through compression.
 type Booster struct {
-	Engine   *engine.Engine
-	Interval time.Duration
-	// ReserveFrac of each node's CPU is left unboosted as headroom for
-	// arriving LC requests.
-	ReserveFrac float64
+	Engine *engine.Engine
 }
 
 // NewBooster creates a booster with 200 ms cadence and 10% headroom.
-func NewBooster(e *engine.Engine) *Booster {
-	return &Booster{Engine: e, Interval: 200 * time.Millisecond, ReserveFrac: 0.1}
-}
+func NewBooster(e *engine.Engine) *Booster { return &Booster{Engine: e} }
 
 // Start registers the periodic boost on the simulator; cancel via the
 // returned event.
 func (b *Booster) Start(s *sim.Simulator) *sim.Event {
-	return s.Every(b.Interval, b.Tick)
+	return s.Every(boostInterval, b.Tick)
 }
 
 // Tick performs one boost pass over all nodes.
 func (b *Booster) Tick() {
 	for _, n := range b.Engine.Nodes() {
-		reserve := int64(float64(n.Capacity.MilliCPU) * b.ReserveFrac)
+		reserve := int64(float64(n.Capacity.MilliCPU) * boostReserveFrac)
 		spare := n.Free().MilliCPU - reserve
 		if spare <= 0 {
 			continue
@@ -213,19 +227,18 @@ func (b *Booster) Tick() {
 
 // DVPA is the dynamic vertical pod autoscaler component (§4.2). It
 // resizes the pod- and container-level cgroups through the ordered
-// protocol of Figure 5 and accounts one OpLatency per operation; the
-// container keeps running throughout (no delete-and-rebuild).
+// protocol of Figure 5 and accounts one DVPAOpLatency per operation;
+// the container keeps running throughout (no delete-and-rebuild).
 type DVPA struct {
-	OpLatency time.Duration
-	Ops       int64
+	Ops int64
 	// Tracer and Now, when both set, emit one "dvpa-resize" span per
-	// operation covering [Now, Now+OpLatency] with the container path.
+	// operation covering [Now, Now+DVPAOpLatency] with the container path.
 	Tracer *obs.Tracer
 	Now    func() time.Duration
 }
 
 // NewDVPA returns a D-VPA with the measured 23 ms operation latency.
-func NewDVPA() *DVPA { return &DVPA{OpLatency: DVPAOpLatency} }
+func NewDVPA() *DVPA { return &DVPA{} }
 
 // Resize applies the ordered two-level resize and returns the operation
 // latency the caller should account (the container is NOT interrupted).
@@ -237,26 +250,17 @@ func (d *DVPA) Resize(h *cgroup.Hierarchy, pod, container *cgroup.Group, target 
 	d.Ops++
 	if tr := d.Tracer; tr.Enabled() && d.Now != nil {
 		at := d.Now()
-		tr.EmitSpan(obs.Sp(obs.SpanDVPA, at, at+d.OpLatency).Note(container.Path()))
+		tr.EmitSpan(obs.Sp(obs.SpanDVPA, at, at+DVPAOpLatency).Note(container.Path()))
 	}
-	return d.OpLatency, nil
+	return DVPAOpLatency, nil
 }
 
 // ReAssurer implements Algorithm 1. It observes LC request outcomes,
 // keeps a 100 ms tail-latency window per (node, service), and adjusts
-// each node's AllocOverride between the catalog minimum and MaxFactor
+// each node's AllocOverride between the catalog minimum and maxFactor
 // times it.
 type ReAssurer struct {
 	Engine *engine.Engine
-	// Alpha and Beta are the slack thresholds (α < β) separating poor /
-	// stable / excellent quality (§4.3).
-	Alpha, Beta float64
-	// StepFrac is the small adjustment proportion per tick.
-	StepFrac float64
-	// MaxFactor bounds the override at MaxFactor × MinDemand.
-	MaxFactor float64
-	// Window is the collection window (100 ms in the paper).
-	Window time.Duration
 
 	windows map[topo.NodeID]map[trace.TypeID]*metrics.Window
 	// Adjustments counts override changes (for reporting).
@@ -266,15 +270,11 @@ type ReAssurer struct {
 	Tracer *obs.Tracer
 }
 
-// NewReAssurer returns the mechanism with the paper-shaped defaults:
-// α = 0.1 (poor below 10% slack), β = 0.5 (excellent above 50% slack),
-// 10% steps, override capped at 3× the minimum demand.
+// NewReAssurer returns the mechanism with the paper-shaped parameters:
+// α = 0.1, β = 0.5, 10% steps, override capped at 3× the minimum
+// demand.
 func NewReAssurer(e *engine.Engine) *ReAssurer {
-	return &ReAssurer{
-		Engine: e, Alpha: 0.1, Beta: 0.5, StepFrac: 0.1, MaxFactor: 3,
-		Window:  100 * time.Millisecond,
-		windows: map[topo.NodeID]map[trace.TypeID]*metrics.Window{},
-	}
+	return &ReAssurer{Engine: e, windows: map[topo.NodeID]map[trace.TypeID]*metrics.Window{}}
 }
 
 // Observe feeds one LC outcome into the windows. Call it from the
@@ -290,7 +290,7 @@ func (ra *ReAssurer) Observe(o engine.Outcome) {
 	}
 	w, ok := byType[o.Req.Type]
 	if !ok {
-		w = metrics.NewWindow(ra.Window)
+		w = metrics.NewWindow(reassureWindow)
 		byType[o.Req.Type] = w
 	}
 	w.Observe(o.FinishedAt, float64(o.Latency)/float64(time.Millisecond))
@@ -320,7 +320,7 @@ func (ra *ReAssurer) Slack(node topo.NodeID, t trace.TypeID) (float64, bool) {
 
 // Start registers the periodic adjustment tick.
 func (ra *ReAssurer) Start(s *sim.Simulator) *sim.Event {
-	return s.Every(ra.Window, ra.Tick)
+	return s.Every(reassureWindow, ra.Tick)
 }
 
 // Tick runs one pass of Algorithm 1 over every (node, LC service) pair.
@@ -352,9 +352,9 @@ func (ra *ReAssurer) Tick() {
 			// Only the compressible CPU dimension is adjusted: granting
 			// more memory cannot speed a request up, it only reduces
 			// concurrency.
-			step := int64(float64(min.MilliCPU)*ra.StepFrac + 0.5)
+			step := int64(float64(min.MilliCPU)*stepFrac + 0.5)
 			switch {
-			case slack < ra.Alpha: // poor: grant more resources
+			case slack < alpha: // poor: grant more resources
 				// Growing per-request allocations on a saturated node
 				// only deepens queueing; grant more only while the node
 				// has headroom (the re-assurer tunes processing speed,
@@ -364,7 +364,7 @@ func (ra *ReAssurer) Tick() {
 				}
 				next := cur
 				next.MilliCPU += step
-				if maxCPU := int64(float64(min.MilliCPU) * ra.MaxFactor); next.MilliCPU > maxCPU {
+				if maxCPU := int64(float64(min.MilliCPU) * maxFactor); next.MilliCPU > maxCPU {
 					next.MilliCPU = maxCPU
 				}
 				if next != cur {
@@ -375,7 +375,7 @@ func (ra *ReAssurer) Tick() {
 							Val(slack).Au(next.MilliCPU).Note("grow"))
 					}
 				}
-			case slack > ra.Beta: // excellent: release resources
+			case slack > beta: // excellent: release resources
 				next := cur
 				next.MilliCPU -= step
 				if next.MilliCPU < min.MilliCPU {

@@ -353,7 +353,7 @@ func TestReAssurerCapsAtMaxFactor(t *testing.T) {
 		})
 		ra.Tick()
 	}
-	max := st.MinDemand.ScaleFloat(ra.MaxFactor)
+	max := st.MinDemand.ScaleFloat(maxFactor)
 	if got := n.EffectiveDemand(1); got.MilliCPU > max.MilliCPU {
 		t.Fatalf("override %v exceeds cap %v", got, max)
 	}

@@ -22,10 +22,16 @@ func finiteOrZero(v float64) float64 {
 // explainability layer; the tango-trace CLI recomputes the same
 // episodes offline from the NDJSON stream.
 
+const (
+	// sloWindow is the rolling-Φ sliding window.
+	sloWindow = 5 * time.Second
+	// maxEpisodeDecisions caps the decision IDs retained per episode;
+	// the total count is always exact.
+	maxEpisodeDecisions = 64
+)
+
 // SLOConfig shapes the accountant. Zero values select the defaults.
 type SLOConfig struct {
-	// Window is the rolling-Φ sliding window (default 5 s).
-	Window time.Duration
 	// Gap closes an episode when the next violation is further away
 	// than this (default 1 s).
 	Gap time.Duration
@@ -33,23 +39,14 @@ type SLOConfig struct {
 	// episode's first violation (default 1 s): the decision that routed
 	// a request precedes its violating completion.
 	Lookback time.Duration
-	// MaxEpisodeDecisions caps the decision IDs retained per episode
-	// (default 64); the total count is always exact.
-	MaxEpisodeDecisions int
 }
 
 func (c *SLOConfig) defaults() {
-	if c.Window <= 0 {
-		c.Window = 5 * time.Second
-	}
 	if c.Gap <= 0 {
 		c.Gap = time.Second
 	}
 	if c.Lookback <= 0 {
 		c.Lookback = time.Second
-	}
-	if c.MaxEpisodeDecisions <= 0 {
-		c.MaxEpisodeDecisions = 64
 	}
 }
 
@@ -181,7 +178,7 @@ func (a *SLOAccountant) attribute(s *ServiceSLO, until time.Duration) {
 		}
 		s.epMaxDec = d.id
 		s.epDecTot++
-		if len(s.epDecs) < a.cfg.MaxEpisodeDecisions {
+		if len(s.epDecs) < maxEpisodeDecisions {
 			s.epDecs = append(s.epDecs, d.id)
 		}
 	}
@@ -205,7 +202,7 @@ func (a *SLOAccountant) Observe(svc int, name, class string, at time.Duration, l
 	}
 	// Rolling window.
 	s.roll = append(s.roll, satSample{at, satisfied})
-	cut := at - a.cfg.Window
+	cut := at - sloWindow
 	i := 0
 	for i < len(s.roll) && s.roll[i].at <= cut {
 		i++

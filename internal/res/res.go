@@ -36,10 +36,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Compressible reports whether shares of the resource can be transferred
-// between running containers without terminating the loser (§4.1).
-func (k Kind) Compressible() bool { return k == CPU || k == Bandwidth }
-
 // Vector is an amount of each resource. CPU is in millicores, Memory in
 // MiB, Bandwidth in Mbps. The zero Vector is empty.
 type Vector struct {

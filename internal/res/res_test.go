@@ -15,18 +15,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestCompressible(t *testing.T) {
-	if !CPU.Compressible() {
-		t.Error("CPU should be compressible")
-	}
-	if !Bandwidth.Compressible() {
-		t.Error("Bandwidth should be compressible")
-	}
-	if Memory.Compressible() {
-		t.Error("Memory should be incompressible")
-	}
-}
-
 func TestGetSet(t *testing.T) {
 	v := V(100, 200, 300)
 	if v.Get(CPU) != 100 || v.Get(Memory) != 200 || v.Get(Bandwidth) != 300 {

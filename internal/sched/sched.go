@@ -74,14 +74,17 @@ func (LoadGreedy) Pick(_ *engine.Request, cands []*engine.Node) (topo.NodeID, bo
 // jointly optimize a batch.
 type Scoring struct {
 	Topo *topo.Topology
-	// Weights; defaults favour free resources, then latency, then queue.
-	WFree, WLatency, WQueue float64
 }
 
+// The Scoring weights favour free resources, then latency, then queue.
+const (
+	scoreWFree    = 1.0
+	scoreWLatency = 0.8
+	scoreWQueue   = 0.5
+)
+
 // NewScoring builds the scoring baseline over a topology.
-func NewScoring(t *topo.Topology) *Scoring {
-	return &Scoring{Topo: t, WFree: 1.0, WLatency: 0.8, WQueue: 0.5}
-}
+func NewScoring(t *topo.Topology) *Scoring { return &Scoring{Topo: t} }
 
 // Name implements Scheduler.
 func (s *Scoring) Name() string { return "scoring" }
@@ -97,7 +100,7 @@ func (s *Scoring) Pick(r *engine.Request, cands []*engine.Node) (topo.NodeID, bo
 		free := 1 - n.ProjectedUtilization()
 		rttMs := float64(s.Topo.RTT(master, n.ID)) / 1e6
 		lcq, beq := n.QueueLen()
-		score := s.WFree*free - s.WLatency*(rttMs/100) - s.WQueue*float64(lcq+beq)/10
+		score := scoreWFree*free - scoreWLatency*(rttMs/100) - scoreWQueue*float64(lcq+beq)/10
 		if score > bestScore || (score == bestScore && n.ID < best.ID) {
 			best, bestScore = n, score
 		}
@@ -136,7 +139,7 @@ func Audit(tr *obs.Tracer, sc Scheduler, r *engine.Request, cands []*engine.Node
 
 // CandidatesLC returns the worker nodes an LC request may be dispatched
 // to: the local cluster plus geo-nearby clusters within maxKm (footnote
-// 4 of the paper; 500 km in the production dataset).
+// 4 of the paper; core passes topo.GeoRadiusKm).
 func CandidatesLC(e *engine.Engine, c topo.ClusterID, maxKm float64) []*engine.Node {
 	t := e.Topology()
 	var out []*engine.Node

@@ -135,7 +135,7 @@ func New(e *engine.Engine, seed int64, k, workers int) *Scheduler {
 	t := e.Topology()
 	s := &Scheduler{
 		Engine:      e,
-		GeoRadiusKm: 500,
+		GeoRadiusKm: topo.GeoRadiusKm,
 		shardOf:     t.PartitionClusters(k),
 		workers:     workers,
 		pending:     make([]res.Vector, len(t.Nodes)),

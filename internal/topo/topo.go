@@ -152,9 +152,13 @@ func (t *Topology) LinkBandwidth(a, b NodeID) int64 {
 	return t.WANBandwidthMbps
 }
 
+// GeoRadiusKm is the geo neighbourhood of footnote 4: LC requests may
+// only be dispatched to local clusters or to clusters within this
+// distance (500 km in the production dataset).
+const GeoRadiusKm float64 = 500
+
 // NeighborClusters returns the clusters within maxKm of c (excluding c),
-// implementing the paper's footnote 4: LC requests may only be dispatched
-// to local or geo-nearby clusters (500 km in the production dataset).
+// implementing the paper's footnote 4 with maxKm = GeoRadiusKm.
 func (t *Topology) NeighborClusters(c ClusterID, maxKm float64) []ClusterID {
 	return t.NeighborClustersInto(nil, c, maxKm)
 }

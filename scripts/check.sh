@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repository health check: formatting, vet, build, race-enabled tests.
-# Same steps as `make check`, for environments without make.
+# Repository health check: formatting, vet, build, tests with time
+# budgets, race-enabled tests and the end-to-end smokes. `make check`
+# runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,9 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# perfbench is a separate module over the core API; vet it here so an
+# API change that breaks the benchmark fails before the A/B smoke.
+(cd perfbench && go vet ./...)
 
 echo "== go build =="
 go build ./...
