@@ -130,11 +130,6 @@ type RandConfig struct {
 	Stalls      int // master stalls (plus one collector stall when > 0)
 }
 
-// DefaultRandConfig exercises every fault kind once or twice.
-func DefaultRandConfig() RandConfig {
-	return RandConfig{NodeChurn: 2, ClusterKill: 1, Partitions: 1, RTTStorms: 1, FlashCrowds: 1, Stalls: 1}
-}
-
 // Random draws a deterministic fault program over a topology: fault
 // times land in the first three quarters of the horizon, windows span
 // 10–30% of it (stalls 5–12%), so every window closes before the drain
@@ -213,8 +208,8 @@ func Random(t *topo.Topology, horizon time.Duration, seed int64, cfg RandConfig)
 
 // Preset builds one of the named CLI programs over a topology. Known
 // names: churn (node+cluster kills), partition (WAN cuts + RTT storms),
-// flash (flash crowds + stalls), all (everything, the DefaultRandConfig
-// shape scaled up).
+// flash (flash crowds + stalls), all (every fault kind, one or two
+// windows each plus a third node churn).
 func Preset(name string, t *topo.Topology, horizon time.Duration, seed int64) (Program, error) {
 	var cfg RandConfig
 	switch name {

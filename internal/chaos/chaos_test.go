@@ -32,12 +32,14 @@ func env(t testing.TB) (*sim.Simulator, *engine.Engine, *topo.Topology) {
 
 func TestRandomProgramDeterministic(t *testing.T) {
 	_, _, tp := env(t)
-	a := Random(tp, 10*time.Second, 42, DefaultRandConfig())
-	b := Random(tp, 10*time.Second, 42, DefaultRandConfig())
+	// Every fault kind once or twice.
+	cfg := RandConfig{NodeChurn: 2, ClusterKill: 1, Partitions: 1, RTTStorms: 1, FlashCrowds: 1, Stalls: 1}
+	a := Random(tp, 10*time.Second, 42, cfg)
+	b := Random(tp, 10*time.Second, 42, cfg)
 	if a.Digest() != b.Digest() {
 		t.Fatalf("same seed, different programs:\n%s\n%s", a.Digest(), b.Digest())
 	}
-	c := Random(tp, 10*time.Second, 43, DefaultRandConfig())
+	c := Random(tp, 10*time.Second, 43, cfg)
 	if a.Digest() == c.Digest() {
 		t.Fatal("different seeds produced identical programs")
 	}
@@ -98,7 +100,7 @@ func TestInjectorNodeKillWindow(t *testing.T) {
 	if inj.Cleared != 1 || inj.Active != 0 || revives != 1 {
 		t.Fatalf("cleared=%d active=%d revives=%d, want 1/0/1", inj.Cleared, inj.Active, revives)
 	}
-	w := inj.Windows()
+	w := inj.windows
 	if len(w) != 1 || w[0].Start != 100*time.Millisecond || w[0].End != 300*time.Millisecond {
 		t.Fatalf("windows = %+v", w)
 	}

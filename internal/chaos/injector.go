@@ -73,11 +73,6 @@ func NewInjector(p Program, cfg InjectorConfig) *Injector {
 // Program returns the armed program.
 func (inj *Injector) Program() Program { return inj.prog }
 
-// Windows lists every fault window applied so far (closed by
-// construction: End = At + Span, or the maximum duration for
-// open-ended faults).
-func (inj *Injector) Windows() []Window { return inj.windows }
-
 // Arm schedules every fault (and windowed clear) as ordinary sim
 // events. Must be called before the clock starts moving for absolute
 // fault times to land where the program says.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -35,7 +36,7 @@ type ChaosDiffStats struct {
 // arrived counts accepted requests. inj and v may be nil (the
 // corresponding checks are skipped — useful for the no-chaos control
 // arm of a differential pair).
-func ChaosDiff(e *engine.Engine, inj *chaos.Injector, v *Verifier,
+func ChaosDiff(e *engine.Engine, inj *chaos.Injector, v *core.Verifier,
 	acct *obs.SLOAccountant, arrived int64, outcomes map[int64]int) (ChaosDiffStats, error) {
 
 	st := ChaosDiffStats{Arrived: arrived, Migrations: e.Migrations}
@@ -62,7 +63,7 @@ func ChaosDiff(e *engine.Engine, inj *chaos.Injector, v *Verifier,
 		}
 	}
 	if acct != nil {
-		if err := SLOInvariants(acct); err != nil {
+		if err := acct.SelfCheck(); err != nil {
 			errs = append(errs, fmt.Errorf("slo invariants: %w", err))
 		}
 		if inj != nil {

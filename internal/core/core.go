@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/check"
 	"repro/internal/dcgbe"
 	"repro/internal/dsslc"
 	"repro/internal/engine"
@@ -122,11 +121,11 @@ type Options struct {
 	// never sampled.
 	SpanSampleRate float64
 
-	// Verify enables the differential-verification layer: a
-	// check.Verifier sweeps the engine's internal accounting and the SLO
-	// accountant's episode invariants on every collection period, and
-	// cross-checks flow conservation after every DSS-LC min-cost-flow
-	// solve. Violations are recorded, not fatal; read System.Verifier.
+	// Verify enables the run-time invariant checks: a Verifier sweeps
+	// engine.SelfCheck and obs.SLOAccountant.SelfCheck every collection
+	// period and after every chaos revive, and checks flow conservation
+	// after every DSS-LC min-cost-flow solve. Violations are recorded,
+	// not fatal; read System.Verifier.
 	Verify bool
 
 	// OnOutcome, when non-nil, receives every request outcome after the
@@ -192,9 +191,9 @@ type System struct {
 	// SLO tracks per-service satisfaction, tail latency and violation
 	// episodes (always on; decision attribution needs the Tracer).
 	SLO *obs.SLOAccountant
-	// Verifier is non-nil when Options.Verify was set; it accumulates
-	// invariant violations observed during the run.
-	Verifier *check.Verifier
+	// Verifier is non-nil when Options.Verify was set; it counts the
+	// invariant checks run and logs every violation they find.
+	Verifier *Verifier
 	// Chaos is non-nil when Options.Chaos was set.
 	Chaos *chaos.Injector
 	// Defrag is non-nil when Options.Defrag was set.
@@ -262,14 +261,14 @@ func New(o Options) *System {
 	}
 	s.beSched = bs
 	if o.Verify {
-		s.Verifier = check.NewVerifier(s.Sim.Now)
+		s.Verifier = &Verifier{now: s.Sim.Now}
 	}
 	if sh, ok := s.lcSched.(*shard.Scheduler); ok {
 		sh.Tracer = s.Tracer
 		sh.Prof = o.Profiler
 		sh.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
 		if s.Verifier != nil {
-			sh.OnSolve = s.Verifier.FlowHook()
+			sh.OnSolve = s.Verifier.onSolve
 		}
 	}
 
@@ -304,8 +303,7 @@ func New(o Options) *System {
 				// The differential oracle demands green self-checks after
 				// every revive, not only at period boundaries.
 				if s.Verifier != nil {
-					s.Verifier.SweepEngine(s.Engine)
-					s.Verifier.SweepSLO(s.SLO)
+					s.Verifier.sweep(s.Engine, s.SLO)
 				}
 			},
 		})
@@ -465,8 +463,7 @@ func (s *System) Start() {
 	}
 	if s.Verifier != nil {
 		s.periodics = append(s.periodics, s.Sim.Every(collectPeriod, func() {
-			s.Verifier.SweepEngine(s.Engine)
-			s.Verifier.SweepSLO(s.SLO)
+			s.Verifier.sweep(s.Engine, s.SLO)
 		}))
 	}
 }

@@ -1,6 +1,7 @@
-package check
+package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 	"repro/internal/trace"
 )
 
-func testEngine(t *testing.T) (*sim.Simulator, *engine.Engine) {
+func verifyEngine(t *testing.T) (*sim.Simulator, *engine.Engine) {
 	t.Helper()
 	s := sim.New()
 	b := topo.NewBuilder()
@@ -28,13 +29,14 @@ func testEngine(t *testing.T) (*sim.Simulator, *engine.Engine) {
 }
 
 func TestVerifierSweepsClean(t *testing.T) {
-	s, e := testEngine(t)
-	v := NewVerifier(s.Now)
+	s, e := verifyEngine(t)
+	v := &Verifier{now: s.Now}
 	cat := trace.DefaultCatalog()
 	for i := int64(1); i <= 8; i++ {
 		e.Dispatch(e.NewRequest(trace.Request{ID: i, Type: 1, Class: cat.Type(1).Class}), 1)
 	}
-	s.Every(10*time.Millisecond, func() { v.SweepEngine(e) })
+	empty := obs.NewSLOAccountant(obs.SLOConfig{})
+	s.Every(10*time.Millisecond, func() { v.sweep(e, empty) })
 	s.RunFor(300 * time.Millisecond)
 	if err := v.Err(); err != nil {
 		t.Fatalf("clean run reported violations: %v", err)
@@ -46,16 +48,16 @@ func TestVerifierSweepsClean(t *testing.T) {
 	a := obs.NewSLOAccountant(obs.SLOConfig{})
 	a.Observe(1, "svc", "LC", time.Second, 10, true, true)
 	a.Finalize()
-	v.SweepSLO(a)
+	v.sweep(e, a)
 	if err := v.Err(); err != nil {
 		t.Fatalf("clean slo sweep reported violations: %v", err)
 	}
 }
 
 func TestVerifierRecordsViolationsWithCap(t *testing.T) {
+	_, e := verifyEngine(t)
 	now := 5 * time.Millisecond
-	v := NewVerifier(func() time.Duration { return now })
-	v.Max = 3
+	v := &Verifier{now: func() time.Duration { return now }}
 	a := obs.NewSLOAccountant(obs.SLOConfig{Gap: 100 * time.Millisecond})
 	// Two violations 1s apart form two episodes; sane by construction,
 	// so corrupt the counter instead to trip the invariant.
@@ -63,70 +65,41 @@ func TestVerifierRecordsViolationsWithCap(t *testing.T) {
 	a.Finalize()
 	svc := a.Services()[0]
 	svc.Satisfied = 5 // now satisfied+violated != resolved
-	for i := 0; i < 6; i++ {
-		v.SweepSLO(a)
+	const sweeps = maxViolations + 6
+	for i := 0; i < sweeps; i++ {
+		v.sweep(e, a)
 	}
-	if v.Total != 6 {
-		t.Fatalf("total = %d, want 6", v.Total)
+	if v.Total != sweeps {
+		t.Fatalf("total = %d, want %d", v.Total, sweeps)
 	}
-	if len(v.Violations) != 3 {
-		t.Fatalf("retained = %d, want cap 3", len(v.Violations))
+	if v.Checks != 2*sweeps {
+		t.Fatalf("checks = %d, want %d (engine + slo per sweep)", v.Checks, 2*sweeps)
+	}
+	if len(v.Violations) != maxViolations {
+		t.Fatalf("retained = %d, want cap %d", len(v.Violations), maxViolations)
 	}
 	if v.Violations[0].At != now || v.Violations[0].Rule != "slo" {
 		t.Fatalf("violation stamp wrong: %+v", v.Violations[0])
 	}
 	err := v.Err()
-	if err == nil || !strings.Contains(err.Error(), "6 violation(s)") {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d violation(s)", sweeps)) {
 		t.Fatalf("Err() = %v", err)
 	}
 }
 
-func TestSLOInvariantsEpisodeChecks(t *testing.T) {
-	mk := func() *obs.SLOAccountant {
-		a := obs.NewSLOAccountant(obs.SLOConfig{Gap: 100 * time.Millisecond})
-		a.Observe(1, "svc", "LC", 1*time.Second, 900, true, false)
-		a.Observe(1, "svc", "LC", 3*time.Second, 900, true, false)
-		a.Finalize()
-		return a
-	}
-	if a := mk(); len(a.Services()[0].Episodes) != 2 {
-		t.Fatalf("setup: %d episodes, want 2", len(mk().Services()[0].Episodes))
-	}
-	if err := SLOInvariants(mk()); err != nil {
-		t.Fatalf("well-formed episodes rejected: %v", err)
-	}
-
-	a := mk()
-	a.Services()[0].Episodes[1].Start = 500 * time.Millisecond // overlaps episode 0
-	if err := SLOInvariants(a); err == nil || !strings.Contains(err.Error(), "overlap") {
-		t.Fatalf("overlap not detected: %v", err)
-	}
-
-	a = mk()
-	a.Services()[0].Episodes[0].End = 0 // ends before start
-	if err := SLOInvariants(a); err == nil || !strings.Contains(err.Error(), "before start") {
-		t.Fatalf("inverted interval not detected: %v", err)
-	}
-
-	a = mk()
-	a.Services()[0].Episodes[0].Violations = 0
-	if err := SLOInvariants(a); err == nil || !strings.Contains(err.Error(), "violations") {
-		t.Fatalf("empty episode not detected: %v", err)
-	}
-}
-
 func TestFlowHookConfirmsSolves(t *testing.T) {
-	v := NewVerifier(nil)
-	hook := v.FlowHook()
-	in := Instance{Nodes: 3, Src: 0, Sink: 2, Edges: []RefEdge{{0, 1, 5, 2}, {1, 2, 5, 0}}}
-	g, _ := in.Graph()
+	v := &Verifier{now: func() time.Duration { return 0 }}
+	g := flow.NewGraph()
+	g.AddNodes(3)
+	g.AddEdge(0, 1, 5, 2)
+	g.AddEdge(1, 2, 5, 0)
 	r := g.MinCostFlow(0, 2, 10)
-	hook(g, 0, 2, r)
+	v.onSolve(g, 0, 2, r)
 	if err := v.Err(); err != nil {
 		t.Fatalf("valid solve flagged: %v", err)
 	}
 	// A negative result must be flagged even without touching the graph.
-	hook(g, 0, 2, flow.Result{Flow: -1})
+	v.onSolve(g, 0, 2, flow.Result{Flow: -1})
 	if v.Total != 1 {
 		t.Fatalf("negative result not flagged, total=%d", v.Total)
 	}

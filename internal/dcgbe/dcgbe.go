@@ -78,7 +78,6 @@ type Scheduler struct {
 	graph   *gnn.Graph
 	nodes   []*engine.Node
 	index   map[topo.NodeID]int
-	buffer  []rl.Transition
 	pending []pendingReward
 	// completedWork accumulates Σ (cpu/cap + mem/cap) of BE completions
 	// since the last training interval (the r_long numerator).

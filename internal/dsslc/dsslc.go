@@ -92,10 +92,10 @@ type Scheduler struct {
 	OverflowSink func(c topo.ClusterID, svc trace.TypeID, rs []*engine.Request)
 
 	// OnSolve, when set, observes every min-cost-flow solve with the
-	// solved residual graph still intact. internal/check hangs its
-	// differential oracles here (flow conservation, nonnegative flow and
-	// cost) so verification runs cross-check the optimizer in situ
-	// without the scheduler importing the checker.
+	// solved residual graph still intact. core.Verifier hangs its flow
+	// checks here (flow conservation, nonnegative flow and cost) so
+	// verification runs cross-check the optimizer in situ without the
+	// scheduler importing the checker.
 	OnSolve func(g *flow.Graph, src, sink int, r flow.Result)
 
 	// Prof, when set, charges MCNF graph construction to the

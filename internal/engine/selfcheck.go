@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Internal-accounting invariants, swept by internal/check during
+// Internal-accounting invariants, swept by core.Verifier during
 // verification runs. These live in the engine package because they
 // validate unexported state (running allocations vs. the used/usedLC
 // aggregates) that the public accessors deliberately do not expose.

@@ -139,14 +139,6 @@ func (q *QoSCounter) Rate() float64 {
 	return float64(q.Satisfied) / float64(q.Arrived)
 }
 
-// CompletionRate returns completed/arrived.
-func (q *QoSCounter) CompletionRate() float64 {
-	if q.Arrived == 0 {
-		return 1
-	}
-	return float64(q.Completed) / float64(q.Arrived)
-}
-
 // Add merges another counter into q.
 func (q *QoSCounter) Add(o QoSCounter) {
 	q.Arrived += o.Arrived
@@ -175,14 +167,6 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.Values))
-}
-
-// Last returns the final value (0 for empty).
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
 }
 
 // Normalize returns a copy scaled so the maximum is 1 (no-op for empty or

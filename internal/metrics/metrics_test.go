@@ -81,7 +81,7 @@ func TestWindowPanics(t *testing.T) {
 
 func TestQoSCounter(t *testing.T) {
 	q := &QoSCounter{}
-	if q.Rate() != 1 || q.CompletionRate() != 1 {
+	if q.Rate() != 1 {
 		t.Fatal("empty counter should report rate 1")
 	}
 	q.Arrived = 10
@@ -90,9 +90,6 @@ func TestQoSCounter(t *testing.T) {
 	q.Abandoned = 2
 	if q.Rate() != 0.6 {
 		t.Fatalf("Rate = %v", q.Rate())
-	}
-	if q.CompletionRate() != 0.8 {
-		t.Fatalf("CompletionRate = %v", q.CompletionRate())
 	}
 	var sum QoSCounter
 	sum.Add(*q)
@@ -104,13 +101,13 @@ func TestQoSCounter(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "x"}
-	if s.Mean() != 0 || s.Last() != 0 || s.Sum() != 0 {
+	if s.Mean() != 0 || s.Sum() != 0 {
 		t.Fatal("empty series stats should be 0")
 	}
 	s.Append(1)
 	s.Append(3)
-	if s.Mean() != 2 || s.Last() != 3 || s.Sum() != 4 {
-		t.Fatalf("stats = %v %v %v", s.Mean(), s.Last(), s.Sum())
+	if s.Mean() != 2 || s.Sum() != 4 {
+		t.Fatalf("stats = %v %v", s.Mean(), s.Sum())
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -257,6 +258,43 @@ func (a *SLOAccountant) Services() []*ServiceSLO {
 		out = append(out, a.services[svc])
 	}
 	return out
+}
+
+// SelfCheck validates every service's accounting and returns the first
+// violation found (nil when consistent): the resolved outcome counters
+// are mutually consistent, and the closed episodes are well-formed
+// (Start ≤ End), strictly disjoint in time order and each hold at least
+// one violation, with the retained decision list never exceeding the
+// exact total.
+func (a *SLOAccountant) SelfCheck() error {
+	for _, s := range a.Services() {
+		if s.Satisfied+s.Violated != s.Resolved {
+			return fmt.Errorf("slo %s: satisfied %d + violated %d != resolved %d",
+				s.Name, s.Satisfied, s.Violated, s.Resolved)
+		}
+		if s.Completed > s.Resolved {
+			return fmt.Errorf("slo %s: completed %d > resolved %d", s.Name, s.Completed, s.Resolved)
+		}
+		var prevEnd time.Duration
+		for i, ep := range s.Episodes {
+			if ep.End < ep.Start {
+				return fmt.Errorf("slo %s: episode %d ends %v before start %v", s.Name, i, ep.End, ep.Start)
+			}
+			if ep.Violations < 1 {
+				return fmt.Errorf("slo %s: episode %d has %d violations", s.Name, i, ep.Violations)
+			}
+			if int64(len(ep.Decisions)) > ep.DecisionTotal {
+				return fmt.Errorf("slo %s: episode %d retains %d decisions of total %d",
+					s.Name, i, len(ep.Decisions), ep.DecisionTotal)
+			}
+			if i > 0 && ep.Start <= prevEnd {
+				return fmt.Errorf("slo %s: episode %d [%v,%v] overlaps previous end %v",
+					s.Name, i, ep.Start, ep.End, prevEnd)
+			}
+			prevEnd = ep.End
+		}
+	}
+	return nil
 }
 
 // EpisodeReport is the JSON shape of one violation episode.

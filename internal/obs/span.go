@@ -337,25 +337,15 @@ func AppendDecisionJSON(dst []byte, d Decision) []byte {
 	return append(dst, '}')
 }
 
-// NewSpanID reserves a span ID without emitting anything (the engine
-// pre-assigns a request's root span ID so children emitted earlier can
-// link to it). Safe on a nil receiver (returns 0, the "no span"
-// sentinel).
-func (t *Tracer) NewSpanID() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.spanSeq++
-	return t.spanSeq
-}
-
-// RequestSpanID reserves the root span ID for a request, honoring the
-// installed head-based sampler: an unsampled request gets 0 (the "no
-// span" sentinel every child-span emission site already guards on), so
-// its whole span tree is skipped atomically. Deterministic — re-asking
-// for the same request returns the same decision — and with no sampler
-// (or rate 1.0) it is exactly NewSpanID, so unsampled runs emit
-// byte-identical streams. Safe on a nil receiver.
+// RequestSpanID reserves the root span ID for a request without
+// emitting anything (the engine pre-assigns a request's root span ID so
+// children emitted earlier can link to it), honoring the installed
+// head-based sampler: an unsampled request gets 0 (the "no span"
+// sentinel every child-span emission site already guards on), so its
+// whole span tree is skipped atomically. Deterministic — re-asking for
+// the same request returns the same decision — and with no sampler (or
+// rate 1.0) every request gets the next ID in sequence, so unsampled
+// runs emit byte-identical streams. Safe on a nil receiver (returns 0).
 func (t *Tracer) RequestSpanID(reqID int64) uint64 {
 	if t == nil {
 		return 0

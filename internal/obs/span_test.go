@@ -29,7 +29,7 @@ func TestEmitSpanAssignsIDsAndCounts(t *testing.T) {
 	ring := NewRingSink(8)
 	tr := NewTracer(fixedClock(0), ring)
 	tr.SetTag("sysA")
-	root := tr.NewSpanID()
+	root := tr.RequestSpanID(1)
 	tr.EmitSpan(Sp(SpanSched, 0, time.Millisecond).Child(root).Req(1))
 	tr.EmitSpan(Sp(SpanRequest, 0, time.Millisecond).WithID(root).Req(1))
 	if tr.SpanCount() != 2 {
@@ -67,7 +67,7 @@ func TestEmitDecisionStampsAndLinks(t *testing.T) {
 
 func TestNilTracerSpansSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.NewSpanID() != 0 {
+	if tr.RequestSpanID(1) != 0 {
 		t.Fatal("nil tracer issued a span ID")
 	}
 	tr.EmitSpan(Sp(SpanExec, 0, 1)) // must not panic
@@ -140,7 +140,7 @@ func TestDecisionJSONRoundTrip(t *testing.T) {
 func TestSpanNullSinkZeroAlloc(t *testing.T) {
 	tr := NewTracer(fixedClock(0), NullSink{})
 	allocs := testing.AllocsPerRun(1000, func() {
-		id := tr.NewSpanID()
+		id := tr.RequestSpanID(17)
 		tr.EmitSpan(Sp(SpanSched, 0, time.Millisecond).Child(id).Req(17).
 			Node(3).Clu(1).Service(2).Cls("LC").Dec(4))
 		tr.EmitSpan(Sp(SpanRequest, 0, time.Millisecond).WithID(id).Req(17).Cls("LC"))

@@ -135,9 +135,6 @@ func (v Vector) Min(w Vector) Vector {
 	return Vector{min64(v.MilliCPU, w.MilliCPU), min64(v.MemoryMiB, w.MemoryMiB), min64(v.BWMbps, w.BWMbps)}
 }
 
-// Clamp returns v limited to [lo, hi] element-wise.
-func (v Vector) Clamp(lo, hi Vector) Vector { return v.Max(lo).Min(hi) }
-
 // DominantShare returns the largest ratio v[k]/cap[k] over dimensions where
 // cap[k] > 0. This is the "dominant resource" load measure used by the
 // load-greedy baseline and by DCG-BE's short-term reward.

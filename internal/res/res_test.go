@@ -89,9 +89,6 @@ func TestMinMaxClamp(t *testing.T) {
 	if got := a.Min(b); got != V(1, 2, 3) {
 		t.Fatalf("Min = %v", got)
 	}
-	if got := V(5, 5, 5).Clamp(V(0, 6, 0), V(4, 10, 10)); got != V(4, 6, 5) {
-		t.Fatalf("Clamp = %v", got)
-	}
 }
 
 func TestDominantShare(t *testing.T) {

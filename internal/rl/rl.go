@@ -22,6 +22,17 @@ import (
 // LearningRate is the paper's Adam learning rate.
 const LearningRate = 2e-4
 
+const (
+	// discount is both agents' reward discount γ.
+	discount = 0.95
+	// entropyBonus is A2C's entropy-bonus coefficient β.
+	entropyBonus = 0.01
+	// sacAlpha is SAC's entropy temperature α.
+	sacAlpha = 0.05
+	// sacTau is SAC's polyak factor τ for the target networks.
+	sacTau = 0.05
+)
+
 // Transition is one step of experience for training.
 type Transition struct {
 	Graph  *gnn.Graph
@@ -33,14 +44,15 @@ type Transition struct {
 
 // A2C is the advantage actor-critic agent.
 type A2C struct {
-	Enc     gnn.Encoder
-	Actor   *nn.MLP // per-node embedding -> logit (shared weights)
-	Critic  *nn.MLP // mean-pooled embedding -> state value
-	Gamma   float64
-	Entropy float64 // entropy bonus coefficient
+	Enc    gnn.Encoder
+	Actor  *nn.MLP // per-node embedding -> logit (shared weights)
+	Critic *nn.MLP // mean-pooled embedding -> state value
+
+	// gamma and entropy start at discount and entropyBonus; only the
+	// in-package learning tests change them.
+	gamma, entropy float64
 
 	opt *nn.Adam
-	rng *rand.Rand
 
 	// Reused across calls: the trainables, and Update's per-transition
 	// scratch.
@@ -56,17 +68,12 @@ func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
 		Enc:     enc,
 		Actor:   nn.NewMLP(rng, embDim, 256, 128, 32, 1),
 		Critic:  nn.NewMLP(rng, embDim, 256, 128, 32, 1),
-		Gamma:   0.95,
-		Entropy: 0.01,
+		gamma:   discount,
+		entropy: entropyBonus,
 		opt:     nn.NewAdam(LearningRate),
-		rng:     rng,
 		dV:      nn.NewMat(1, 1),
 	}
 }
-
-// SetLR overrides the optimizer learning rate (tests and ablations; the
-// paper's experiments use the default 2e-4).
-func (a *A2C) SetLR(lr float64) { a.opt.LR = lr }
 
 // params returns all trainables (encoder + heads).
 func (a *A2C) params() []*nn.Param {
@@ -87,24 +94,6 @@ func (a *A2C) logits(g *gnn.Graph, x *nn.Mat) []float64 {
 // the caller owns.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 	return nn.SoftmaxRow(a.logits(g, x), mask)
-}
-
-// SelectAction samples from the masked policy.
-func (a *A2C) SelectAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
-	p := a.Probs(g, x, mask)
-	return Sample(a.rng, p)
-}
-
-// GreedyAction returns argmax of the masked policy.
-func (a *A2C) GreedyAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
-	p := a.Probs(g, x, mask)
-	best, bi := -1.0, 0
-	for i, v := range p {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // Value estimates V(s) from the mean-pooled embedding.
@@ -149,7 +138,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 	last := batch[len(batch)-1]
 	run := a.Value(last.Graph, last.X)
 	for i := len(batch) - 1; i >= 0; i-- {
-		run = batch[i].Reward + a.Gamma*run
+		run = batch[i].Reward + a.gamma*run
 		returns[i] = run
 	}
 
@@ -198,7 +187,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 			}
 			// entropy derivative
 			if p > 0 {
-				g += a.Entropy * p * (math.Log(p) + ent)
+				g += a.entropy * p * (math.Log(p) + ent)
 			}
 			dLogits.Data[j] = g * scale
 		}
@@ -257,11 +246,7 @@ type SAC struct {
 	Actor       *nn.MLP
 	Q1, Q2      *nn.MLP
 	T1, T2      *nn.MLP // target copies of Q1/Q2
-	Gamma       float64
-	Alpha       float64 // entropy temperature
-	Tau         float64 // polyak factor
 	optPi, optQ *nn.Adam
-	rng         *rand.Rand
 }
 
 // NewSAC builds a discrete SAC agent over embDim encoder outputs.
@@ -269,9 +254,7 @@ func NewSAC(enc gnn.Encoder, embDim int, rng *rand.Rand) *SAC {
 	mk := func() *nn.MLP { return nn.NewMLP(rng, embDim, 256, 128, 32, 1) }
 	s := &SAC{
 		Enc: enc, Actor: mk(), Q1: mk(), Q2: mk(),
-		Gamma: 0.95, Alpha: 0.05, Tau: 0.05,
 		optPi: nn.NewAdam(LearningRate), optQ: nn.NewAdam(LearningRate),
-		rng: rng,
 	}
 	s.T1 = cloneMLP(s.Q1, embDim, rng)
 	s.T2 = cloneMLP(s.Q2, embDim, rng)
@@ -311,11 +294,6 @@ func (s *SAC) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 	return nn.SoftmaxRow(logits, mask)
 }
 
-// SelectAction samples from the masked policy.
-func (s *SAC) SelectAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
-	return Sample(s.rng, s.Probs(g, x, mask))
-}
-
 // Update performs one SAC step over consecutive transitions (each next
 // state is the following transition's state; the last bootstraps from
 // itself).
@@ -351,9 +329,9 @@ func (s *SAC) Update(batch []Transition) Stats {
 				continue
 			}
 			q := math.Min(t1.At(j, 0), t2.At(j, 0))
-			target += p * (q - s.Alpha*math.Log(p))
+			target += p * (q - sacAlpha*math.Log(p))
 		}
-		y := tr.Reward + s.Gamma*target
+		y := tr.Reward + discount*target
 
 		emb := s.Enc.Forward(tr.Graph, tr.X)
 		q1 := s.Q1.Forward(emb)
@@ -397,7 +375,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 			if p <= 0 {
 				continue
 			}
-			vals[j] = s.Alpha*math.Log(p) - math.Min(q1.At(j, 0), q2.At(j, 0))
+			vals[j] = sacAlpha*math.Log(p) - math.Min(q1.At(j, 0), q2.At(j, 0))
 			mean += p * vals[j]
 			st.PolicyLoss += p * vals[j] * scale
 		}
@@ -409,7 +387,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 			if p <= 0 {
 				continue
 			}
-			g := p * (vals[j] - mean + s.Alpha)
+			g := p * (vals[j] - mean + sacAlpha)
 			dLogits.Set(j, 0, g*scale)
 		}
 		s.Actor.Backward(dLogits)
@@ -417,7 +395,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 	nn.ClipGrads(piparams, 5)
 	s.optPi.Step(piparams)
 
-	polyak(s.T1, s.Q1, s.Tau)
-	polyak(s.T2, s.Q2, s.Tau)
+	polyak(s.T1, s.Q1, sacTau)
+	polyak(s.T2, s.Q2, sacTau)
 	return st
 }

@@ -48,6 +48,18 @@ func (b *banditEnv) reward(a int) float64 {
 	return 0
 }
 
+// argmax returns the index of the largest probability (the first on a
+// tie): the greedy action.
+func argmax(p []float64) int {
+	best, bi := -1.0, 0
+	for i, v := range p {
+		if v > best {
+			best, bi = v, i
+		}
+	}
+	return bi
+}
+
 func TestA2CLearnsContextualBandit(t *testing.T) {
 	// Native encoder: the bandit's "which node holds the flag" task is
 	// unambiguous per-node, so the agent should become near-perfect.
@@ -56,8 +68,8 @@ func TestA2CLearnsContextualBandit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	enc := gnn.NewNative(rng, 3, 16, 16)
 	agent := NewA2C(enc, 16, rng)
-	agent.Gamma = 0 // bandit: no bootstrapping across episodes
-	agent.SetLR(2e-3)
+	agent.gamma = 0 // bandit: no bootstrapping across episodes
+	agent.opt.LR = 2e-3
 	env := newBandit(rng, 6)
 
 	score := func(trials int, greedy bool) float64 {
@@ -66,9 +78,9 @@ func TestA2CLearnsContextualBandit(t *testing.T) {
 			env.reset()
 			var a int
 			if greedy {
-				a = agent.GreedyAction(env.g, env.x, nil)
+				a = argmax(agent.Probs(env.g, env.x, nil))
 			} else {
-				a = agent.SelectAction(env.g, env.x, nil)
+				a = Sample(rng, agent.Probs(env.g, env.x, nil))
 			}
 			if a == env.best {
 				hits++
@@ -82,7 +94,7 @@ func TestA2CLearnsContextualBandit(t *testing.T) {
 		var batch []Transition
 		for i := 0; i < 16; i++ {
 			env.reset()
-			a := agent.SelectAction(env.g, env.x, nil)
+			a := Sample(rng, agent.Probs(env.g, env.x, nil))
 			batch = append(batch, Transition{Graph: env.g, X: env.x, Action: a, Reward: env.reward(a)})
 		}
 		agent.Update(batch)
@@ -100,14 +112,14 @@ func TestA2CWithSAGEImproves(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	enc := gnn.NewSAGE(rng, 0, 3, 16, 16)
 	agent := NewA2C(enc, 16, rng)
-	agent.Gamma = 0
-	agent.SetLR(2e-3)
+	agent.gamma = 0
+	agent.opt.LR = 2e-3
 	env := newBandit(rng, 6)
 	for epoch := 0; epoch < 150; epoch++ {
 		var batch []Transition
 		for i := 0; i < 16; i++ {
 			env.reset()
-			a := agent.SelectAction(env.g, env.x, nil)
+			a := Sample(rng, agent.Probs(env.g, env.x, nil))
 			batch = append(batch, Transition{Graph: env.g, X: env.x, Action: a, Reward: env.reward(a)})
 		}
 		agent.Update(batch)
@@ -115,7 +127,7 @@ func TestA2CWithSAGEImproves(t *testing.T) {
 	hits := 0
 	for i := 0; i < 300; i++ {
 		env.reset()
-		if agent.GreedyAction(env.g, env.x, nil) == env.best {
+		if argmax(agent.Probs(env.g, env.x, nil)) == env.best {
 			hits++
 		}
 	}
@@ -132,7 +144,7 @@ func TestA2CMaskingForbidsInvalidActions(t *testing.T) {
 	env.reset()
 	mask := []bool{false, false, true, false, false}
 	for i := 0; i < 50; i++ {
-		if a := agent.SelectAction(env.g, env.x, mask); a != 2 {
+		if a := Sample(rng, agent.Probs(env.g, env.x, mask)); a != 2 {
 			t.Fatalf("masked selection returned %d", a)
 		}
 	}
@@ -176,13 +188,13 @@ func TestA2CValueTracksReturns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	enc := gnn.NewNative(rng, 3, 8, 8)
 	agent := NewA2C(enc, 8, rng)
-	agent.Gamma = 0.5
+	agent.gamma = 0.5
 	env := newBandit(rng, 4)
 	env.reset()
 	for epoch := 0; epoch < 300; epoch++ {
 		var batch []Transition
 		for i := 0; i < 8; i++ {
-			a := agent.SelectAction(env.g, env.x, nil)
+			a := Sample(rng, agent.Probs(env.g, env.x, nil))
 			batch = append(batch, Transition{Graph: env.g, X: env.x, Action: a, Reward: 1})
 		}
 		agent.Update(batch)
@@ -212,14 +224,13 @@ func TestSACLearnsContextualBandit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	enc := gnn.NewSAGE(rng, 0, 3, 16, 16)
 	agent := NewSAC(enc, 16, rng)
-	agent.Gamma = 0
 	env := newBandit(rng, 5)
 
 	for epoch := 0; epoch < 200; epoch++ {
 		var batch []Transition
 		for i := 0; i < 16; i++ {
 			env.reset()
-			a := agent.SelectAction(env.g, env.x, nil)
+			a := Sample(rng, agent.Probs(env.g, env.x, nil))
 			batch = append(batch, Transition{Graph: env.g, X: env.x, Action: a, Reward: env.reward(a)})
 		}
 		agent.Update(batch)
@@ -227,14 +238,7 @@ func TestSACLearnsContextualBandit(t *testing.T) {
 	hits := 0
 	for i := 0; i < 200; i++ {
 		env.reset()
-		p := agent.Probs(env.g, env.x, nil)
-		best, bi := -1.0, 0
-		for j, v := range p {
-			if v > best {
-				best, bi = v, j
-			}
-		}
-		if bi == env.best {
+		if argmax(agent.Probs(env.g, env.x, nil)) == env.best {
 			hits++
 		}
 	}
@@ -251,7 +255,7 @@ func TestSACMasking(t *testing.T) {
 	env.reset()
 	mask := []bool{false, true, false, false}
 	for i := 0; i < 20; i++ {
-		if a := agent.SelectAction(env.g, env.x, mask); a != 1 {
+		if a := Sample(rng, agent.Probs(env.g, env.x, mask)); a != 1 {
 			t.Fatalf("masked SAC picked %d", a)
 		}
 	}
@@ -289,14 +293,14 @@ func TestA2CEntropyRegularizationKeepsExploration(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	enc := gnn.NewNative(rng, 3, 8, 8)
 	agent := NewA2C(enc, 8, rng)
-	agent.Entropy = 5
-	agent.Gamma = 0
+	agent.entropy = 5
+	agent.gamma = 0
 	env := newBandit(rng, 4)
 	env.reset()
 	for epoch := 0; epoch < 100; epoch++ {
 		var batch []Transition
 		for i := 0; i < 8; i++ {
-			a := agent.SelectAction(env.g, env.x, nil)
+			a := Sample(rng, agent.Probs(env.g, env.x, nil))
 			r := 0.0
 			if a == 0 {
 				r = 1

@@ -59,7 +59,6 @@ type Batch struct {
 // shard solve, as offsets into the shard's overflow arena.
 type overflowGroup struct {
 	c          topo.ClusterID
-	svc        trace.TypeID
 	start, end int
 }
 
@@ -93,7 +92,7 @@ type Scheduler struct {
 	// concurrent solves is disabled — emission order would depend on
 	// goroutine interleaving — and the layer instead emits one
 	// EvFlowSolve per batch after the join, in batch order; OnSolve is
-	// serialized through a mutex so internal/check's flow oracles still
+	// serialized through a mutex so core.Verifier's flow checks still
 	// observe every solve; the sequential overflow pass gets the full
 	// observer set.
 	Tracer     *obs.Tracer
@@ -155,11 +154,11 @@ func New(e *engine.Engine, seed int64, k, workers int) *Scheduler {
 		if k > 1 {
 			st.inner.Restrict = func(c topo.ClusterID) bool { return s.shardOf[c] == st.idx }
 			st.inner.Pending = s.pendingAt
-			st.inner.OverflowSink = func(c topo.ClusterID, svc trace.TypeID, rs []*engine.Request) {
+			st.inner.OverflowSink = func(c topo.ClusterID, _ trace.TypeID, rs []*engine.Request) {
 				// rs aliases the inner scheduler's pooled buffer: copy now.
 				start := len(st.ovReqs)
 				st.ovReqs = append(st.ovReqs, rs...)
-				st.ovGroups = append(st.ovGroups, overflowGroup{c, svc, start, len(st.ovReqs)})
+				st.ovGroups = append(st.ovGroups, overflowGroup{c, start, len(st.ovReqs)})
 			}
 		}
 		s.shards = append(s.shards, st)
@@ -184,9 +183,6 @@ func (s *Scheduler) Name() string {
 
 // NumShards returns the shard count.
 func (s *Scheduler) NumShards() int { return len(s.shards) }
-
-// ShardOf returns the shard index a cluster belongs to.
-func (s *Scheduler) ShardOf(c topo.ClusterID) int { return s.shardOf[c] }
 
 func (s *Scheduler) pendingAt(n topo.NodeID) res.Vector { return s.pending[n] }
 

@@ -196,11 +196,12 @@ func TestOverflowCrossesMultipleShardBoundaries(t *testing.T) {
 	sh := shard.New(e, 17, 3, 3)
 	sh.GeoRadiusKm = 1e9
 
+	shardOf := tp.PartitionClusters(3) // the partition shard.New(e, _, 3, _) uses
 	origin := tp.Clusters[0].ID
-	farShard := sh.ShardOf(tp.Clusters[4].ID)
-	if sh.ShardOf(origin) == farShard || sh.ShardOf(tp.Clusters[2].ID) == farShard {
+	farShard := shardOf[tp.Clusters[4].ID]
+	if shardOf[origin] == farShard || shardOf[tp.Clusters[2].ID] == farShard {
 		t.Fatalf("partition did not separate the three groups: shards %d/%d/%d",
-			sh.ShardOf(origin), sh.ShardOf(tp.Clusters[2].ID), farShard)
+			shardOf[origin], shardOf[tp.Clusters[2].ID], farShard)
 	}
 
 	var reqs []*engine.Request
@@ -220,7 +221,7 @@ func TestOverflowCrossesMultipleShardBoundaries(t *testing.T) {
 	}
 	far := 0
 	for _, nid := range out {
-		if sh.ShardOf(e.Node(nid).Cluster) == farShard {
+		if shardOf[e.Node(nid).Cluster] == farShard {
 			far++
 		}
 	}

@@ -35,7 +35,7 @@ func buildTrace(t *testing.T) *bytes.Buffer {
 
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 	emitReq := func(req int64, base int, detail string) {
-		root := tr.NewSpanID()
+		root := tr.RequestSpanID(req)
 		tr.EmitSpan(obs.Sp(obs.SpanSched, ms(base), ms(base+2)).Child(root).Req(req).Clu(0).Node(3).Service(2).Cls("LC").Dec(d.ID))
 		tr.EmitSpan(obs.Sp(obs.SpanTransit, ms(base+2), ms(base+3)).Child(root).Req(req).Clu(0).Node(3).Service(2).Cls("LC"))
 		tr.EmitSpan(obs.Sp(obs.SpanQueue, ms(base+3), ms(base+4)).Child(root).Req(req).Clu(0).Node(3).Service(2).Cls("LC"))

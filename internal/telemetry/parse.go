@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -59,20 +58,6 @@ func (s *Scrape) Select(name string) []Metric {
 			out = append(out, m)
 		}
 	}
-	return out
-}
-
-// Names returns the sorted distinct sample names.
-func (s *Scrape) Names() []string {
-	set := map[string]bool{}
-	for _, m := range s.Samples {
-		set[m.Name] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -20,6 +20,16 @@ go vet ./...
 # API change that breaks the benchmark fails before the A/B smoke.
 (cd perfbench && go vet ./...)
 
+echo "== production free of test oracles =="
+# internal/check holds the reference solvers and differential oracles;
+# only tests may import it, so no command or example links it.
+if go list -deps ./cmd/... ./examples/... | grep -qx 'repro/internal/check'; then
+    echo "a command or example links repro/internal/check; imported by:"
+    go list -deps -f '{{range .Imports}}{{if eq . "repro/internal/check"}}{{$.ImportPath}}{{end}}{{end}}' \
+        ./cmd/... ./examples/... | grep .
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
