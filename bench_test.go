@@ -163,19 +163,6 @@ func BenchmarkExtensionFailover(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionScalability — extension experiment: DSS-LC decision
-// time sweep from 100 to 2000 nodes.
-func BenchmarkExtensionScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Scalability(benchCfg(), func(f func()) time.Duration {
-			start := time.Now()
-			f()
-			return time.Since(start)
-		})
-		reportValues(b, r, "ms_100", "ms_500", "ms_1000", "ms_2000")
-	}
-}
-
 // BenchmarkAblationMasking — DESIGN.md ablation: DCG-BE's policy context
 // filtering on/off.
 func BenchmarkAblationMasking(b *testing.B) {

@@ -38,9 +38,6 @@ func main() {
 		memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		listen   = flag.String("listen", "", "serve live telemetry (/metrics /healthz /runinfo /trace/tail) on this host:port (port 0 picks one)")
 		linger   = flag.Duration("linger", 0, "keep the telemetry server up this long after the suite finishes (requires -listen)")
-		chaosOn  = flag.String("chaos", "", "arm a fault program (churn | partition | flash | all) over every run of every experiment")
-		chaosSd  = flag.Int64("chaos-seed", 0, "seed for the fault program (0 = use -seed)")
-		defragOn = flag.Bool("defrag", false, "run the periodic BE defragmentation pass in every run")
 	)
 	flag.Parse()
 
@@ -62,15 +59,12 @@ func main() {
 		{"fig11ab", experiments.Fig11ab, "LC scheduling algorithms"},
 		{"dsslc-decision", func(c experiments.Config) *experiments.Result {
 			return experiments.DecisionTime(c, wall)
-		}, "DSS-LC decision time at 500/1000 nodes"},
+		}, "DSS-LC decision time from 100 to 2000 nodes"},
 		{"fig11c", experiments.Fig11c, "BE scheduling algorithms"},
 		{"fig11d", experiments.Fig11d, "GNN structure ablation"},
 		{"fig12", experiments.Fig12, "4x4 algorithm pairing matrix"},
 		{"fig13", experiments.Fig13, "Tango vs CERES vs DSACO at scale"},
 		{"failover", experiments.Failover, "extension: worker failures mid-run"},
-		{"scalability", func(c experiments.Config) *experiments.Result {
-			return experiments.Scalability(c, wall)
-		}, "extension: decision-time scaling sweep"},
 		{"shard-scale", func(c experiments.Config) *experiments.Result {
 			return experiments.ShardScale(c, wall)
 		}, "extension: sharded scheduler throughput at 10k+ nodes"},
@@ -94,9 +88,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Shards = *shards
-	cfg.Chaos = *chaosOn
-	cfg.ChaosSeed = *chaosSd
-	cfg.Defrag = *defragOn
 
 	var wsink *obs.WriterSink
 	if *traceOut != "" {

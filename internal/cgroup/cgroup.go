@@ -68,12 +68,6 @@ func FromVector(v res.Vector) Limits {
 	return Limits{CPUQuota: v.MilliCPU, CPUShares: v.MilliCPU * 1024 / 1000, MemoryMiB: v.MemoryMiB}
 }
 
-// Vector converts Limits back to a resource vector (bandwidth is not a
-// cgroup-controlled resource; it is managed by the traffic dispatchers).
-func (l Limits) Vector() res.Vector {
-	return res.V(l.CPUQuota, l.MemoryMiB, 0)
-}
-
 // Group is one node in the cgroup tree.
 type Group struct {
 	name     string
@@ -82,9 +76,6 @@ type Group struct {
 	limits   Limits
 	writes   uint64 // number of limit modifications, for accounting
 }
-
-// Name returns the group's path component.
-func (g *Group) Name() string { return g.name }
 
 // Path returns the slash-separated path from the hierarchy root.
 func (g *Group) Path() string {
@@ -96,9 +87,6 @@ func (g *Group) Path() string {
 
 // Limits returns the group's current limits.
 func (g *Group) Limits() Limits { return g.limits }
-
-// Writes returns how many times the group's limits have been modified.
-func (g *Group) Writes() uint64 { return g.writes }
 
 // Children returns the child group names in sorted order.
 func (g *Group) Children() []string {
@@ -151,9 +139,6 @@ func NewHierarchy(rootCap res.Vector) *Hierarchy {
 	}
 	return &Hierarchy{root: root}
 }
-
-// Root returns the kubepods group.
-func (h *Hierarchy) Root() *Group { return h.root }
 
 // Lookup resolves a path like "kubepods/burstable/pod67f7df/cc13fc77c".
 func (h *Hierarchy) Lookup(path string) (*Group, error) {
@@ -350,11 +335,4 @@ func (h *Hierarchy) Walk(fn func(*Group)) {
 		}
 	}
 	rec(h.root)
-}
-
-// TotalWrites sums limit modifications across the hierarchy.
-func (h *Hierarchy) TotalWrites() uint64 {
-	var total uint64
-	h.Walk(func(g *Group) { total += g.writes })
-	return total
 }

@@ -31,11 +31,11 @@ func mustContainer(t *testing.T, h *Hierarchy, pod *Group, id string, l Limits) 
 
 func TestHierarchyLayout(t *testing.T) {
 	h := newH()
-	if h.Root().Name() != "kubepods" {
-		t.Fatalf("root = %q", h.Root().Name())
+	if h.root.name != "kubepods" {
+		t.Fatalf("root = %q", h.root.name)
 	}
 	want := []string{"besteffort", "burstable", "guaranteed"}
-	got := h.Root().Children()
+	got := h.root.Children()
 	if len(got) != 3 {
 		t.Fatalf("children = %v", got)
 	}
@@ -220,7 +220,7 @@ func TestRemove(t *testing.T) {
 	if err := h.Remove(pod); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove err = %v", err)
 	}
-	if err := h.Remove(h.Root()); err == nil {
+	if err := h.Remove(h.root); err == nil {
 		t.Fatal("removing root allowed")
 	}
 }
@@ -229,14 +229,18 @@ func TestWriteAccounting(t *testing.T) {
 	h := newH()
 	pod := mustPod(t, h, Burstable, "p", FromVector(res.V(1000, 2048, 0)))
 	c := mustContainer(t, h, pod, "c", FromVector(res.V(500, 1024, 0)))
-	if h.TotalWrites() != 0 {
-		t.Fatalf("initial writes = %d", h.TotalWrites())
+	total := func() (n uint64) {
+		h.Walk(func(g *Group) { n += g.writes })
+		return n
+	}
+	if total() != 0 {
+		t.Fatalf("initial writes = %d", total())
 	}
 	if err := h.SetLimits(c, FromVector(res.V(600, 1024, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if c.Writes() != 1 || h.TotalWrites() != 1 {
-		t.Fatalf("writes = %d/%d", c.Writes(), h.TotalWrites())
+	if c.writes != 1 || total() != 1 {
+		t.Fatalf("writes = %d/%d", c.writes, total())
 	}
 }
 
@@ -259,8 +263,8 @@ func TestFromVectorRoundTrip(t *testing.T) {
 	if l.CPUShares != 1536 {
 		t.Fatalf("shares = %d, want 1536", l.CPUShares)
 	}
-	if l.Vector() != v {
-		t.Fatalf("round trip = %v, want %v", l.Vector(), v)
+	if got := res.V(l.CPUQuota, l.MemoryMiB, 0); got != v {
+		t.Fatalf("round trip = %v, want %v", got, v)
 	}
 }
 

@@ -12,6 +12,24 @@ import (
 	"repro/internal/trace"
 )
 
+// place dispatches r to worker n the way the schedulers do, runs the
+// clock to its arrival and fails the test unless the engine's
+// accounting holds and the node's in-transit demand is back where it
+// was before the dispatch.
+func place(t testing.TB, e *engine.Engine, r *engine.Request, n topo.NodeID) {
+	t.Helper()
+	s, node := e.Sim(), e.Node(n)
+	before := node.InTransit()
+	e.Dispatch(r, n)
+	s.RunUntil(s.Now() + e.TransitDelay(r.Cluster, n, r.SType.TxKB))
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("after placing request %d on node %d: %v", r.ID, n, err)
+	}
+	if got := node.InTransit(); got != before {
+		t.Fatalf("request %d arrived at node %d with in-transit demand %v, want %v", r.ID, n, got, before)
+	}
+}
+
 // env builds two 2-worker clusters with an engine, mirroring the
 // engine-side migration tests: workers 1,2 (cluster 0) and 4,5
 // (cluster 1).
@@ -86,7 +104,7 @@ func TestInjectorNodeKillWindow(t *testing.T) {
 		OnRevive: func() { revives++ },
 	})
 	inj.Arm()
-	s.RunFor(150 * time.Millisecond)
+	s.RunUntil(s.Now() + 150*time.Millisecond)
 	if !e.Node(1).Down() {
 		t.Fatal("node 1 not down inside the fault window")
 	}
@@ -114,14 +132,14 @@ func TestInjectorPartitionAndStormWindows(t *testing.T) {
 	}}
 	NewInjector(p, InjectorConfig{Sim: s, Engine: e, Topo: tp}).Arm()
 	base := tp.ClusterRTT(0, 1)
-	s.RunFor(70 * time.Millisecond)
+	s.RunUntil(s.Now() + 70*time.Millisecond)
 	if tp.Reachable(0, 1) {
 		t.Fatal("clusters reachable inside the partition window")
 	}
 	if got := tp.ClusterRTT(0, 1); got != topo.PartitionRTT {
 		t.Fatalf("RTT under partition = %v, want %v", got, topo.PartitionRTT)
 	}
-	s.RunFor(85 * time.Millisecond) // now=155ms: partition healed, storm active
+	s.RunUntil(s.Now() + 85*time.Millisecond) // now=155ms: partition healed, storm active
 	if !tp.Reachable(0, 1) {
 		t.Fatal("partition not healed")
 	}
@@ -204,7 +222,7 @@ func TestInjectorStallsAndEvents(t *testing.T) {
 	if collUntil != 60*time.Millisecond {
 		t.Fatalf("collector stall until %v", collUntil)
 	}
-	if got := tr.Count(obs.EvChaos); got != 2 {
+	if got := tr.Counts()[obs.EvChaos.String()]; got != 2 {
 		t.Fatalf("EvChaos events = %d, want 2 (stalls self-expire, no clear event)", got)
 	}
 }

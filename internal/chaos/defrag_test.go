@@ -10,8 +10,8 @@ import (
 func TestDefragNoopOnCompactFleet(t *testing.T) {
 	s, e, _ := env(t)
 	// One BE per node: every node is far below defragHotUtil.
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 2)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 2)
 	d := NewDefragmenter(e)
 	if got := d.Score(); got != 0 {
 		t.Fatalf("Score on compact fleet = %d, want 0", got)
@@ -32,7 +32,7 @@ func TestDefragMovesBEOffHotNode(t *testing.T) {
 	s, e, _ := env(t)
 	// Four type-6 BE requests fill worker 1's 4000 mCPU: utilization 1.0.
 	for id := int64(1); id <= 4; id++ {
-		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+		place(t, e, e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
 	d := NewDefragmenter(e)
 	if got := d.Score(); got != 1 {
@@ -59,11 +59,11 @@ func TestDefragMovesBEOffHotNode(t *testing.T) {
 func TestDefragRespectsPartition(t *testing.T) {
 	s, e, tp := env(t)
 	for id := int64(1); id <= 4; id++ {
-		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+		place(t, e, e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
 	// Fill worker 2 too so the only cold receivers are across the WAN.
 	for id := int64(5); id <= 8; id++ {
-		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 2)
+		place(t, e, e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 2)
 	}
 	tp.Net().Partition(0, 1)
 	d := NewDefragmenter(e)
@@ -85,7 +85,7 @@ func TestDefragRespectsPartition(t *testing.T) {
 func TestDefragScoreAllocFree(t *testing.T) {
 	_, e, _ := env(t)
 	for id := int64(1); id <= 4; id++ {
-		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+		place(t, e, e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
 	d := NewDefragmenter(e)
 	if allocs := testing.AllocsPerRun(100, func() { d.Score() }); allocs != 0 {
@@ -96,7 +96,7 @@ func TestDefragScoreAllocFree(t *testing.T) {
 func BenchmarkDefragScore(b *testing.B) {
 	s, e, _ := env(b)
 	for id := int64(1); id <= 4; id++ {
-		e.DispatchLocal(e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+		place(b, e, e.NewRequest(trace.Request{ID: id, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
 	_ = s
 	d := NewDefragmenter(e)

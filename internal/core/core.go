@@ -390,9 +390,6 @@ func (s *System) nodeSlack(id topo.NodeID) float64 {
 	return worst
 }
 
-// ReAssurer exposes the re-assurance mechanism (nil when disabled).
-func (s *System) ReAssurer() *hrm.ReAssurer { return s.reassurer }
-
 // LCSchedulerName reports the LC algorithm in use.
 func (s *System) LCSchedulerName() string { return s.lcSched.Name() }
 
@@ -603,16 +600,6 @@ func (s *System) FailNode(id topo.NodeID, at time.Duration) {
 // RecoverNode schedules the worker's recovery.
 func (s *System) RecoverNode(id topo.NodeID, at time.Duration) {
 	s.Sim.ScheduleAt(at, func() { s.Engine.Node(id).Recover() })
-}
-
-// FailCluster schedules every worker of a cluster to fail at `at`.
-func (s *System) FailCluster(c topo.ClusterID, at time.Duration) {
-	s.Sim.ScheduleAt(at, func() { s.Engine.FailCluster(c) })
-}
-
-// RecoverCluster schedules the cluster's workers to recover at `at`.
-func (s *System) RecoverCluster(c topo.ClusterID, at time.Duration) {
-	s.Sim.ScheduleAt(at, func() { s.Engine.RecoverCluster(c) })
 }
 
 // Collector aggregates the paper's measurements into period series.

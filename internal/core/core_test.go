@@ -86,7 +86,7 @@ func TestK8sNativeConfiguration(t *testing.T) {
 	if sys.Metrics.LC.Arrived == 0 {
 		t.Fatal("nothing arrived")
 	}
-	if sys.ReAssurer() != nil {
+	if sys.reassurer != nil {
 		t.Fatal("re-assurer should be off by default options")
 	}
 }
@@ -192,10 +192,10 @@ func TestReassuranceAdjustsUnderLoad(t *testing.T) {
 	cfg.BERatePerSec = 0
 	sys.Inject(trace.Generate(cfg))
 	sys.Run(12 * time.Second)
-	if sys.ReAssurer() == nil {
+	if sys.reassurer == nil {
 		t.Fatal("re-assurer missing")
 	}
-	if sys.ReAssurer().Adjustments == 0 {
+	if sys.reassurer.Adjustments == 0 {
 		t.Fatal("re-assurer never adjusted under heavy load")
 	}
 }
@@ -204,7 +204,7 @@ func TestStopCancelsPeriodics(t *testing.T) {
 	tp := smallTopo()
 	sys := New(Tango(tp, 10))
 	sys.Start()
-	if sys.Sim.Pending() == 0 {
+	if len(sys.periodics) == 0 {
 		t.Fatal("no periodic events armed")
 	}
 	sys.Stop()

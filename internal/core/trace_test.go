@@ -77,11 +77,11 @@ func TestSpanTilingOver60s(t *testing.T) {
 			if k.End < k.Start {
 				t.Fatalf("span %d %q has negative duration", k.ID, k.Name)
 			}
-			sum += k.Duration()
+			sum += k.End - k.Start
 		}
-		if sum != r.Duration() {
+		if e2e := r.End - r.Start; sum != e2e {
 			t.Fatalf("req %d (%s, detail %q): child sum %v != e2e %v (children %d)",
-				r.ReqID, r.Class, r.Detail, sum, r.Duration(), len(kids))
+				r.ReqID, r.Class, r.Detail, sum, e2e, len(kids))
 		}
 		if r.Class == "LC" && (r.Detail == "" || r.Detail == "violated") {
 			lcCompleted++

@@ -37,7 +37,7 @@ func TestVerifierSweepsClean(t *testing.T) {
 	}
 	empty := obs.NewSLOAccountant(obs.SLOConfig{})
 	s.Every(10*time.Millisecond, func() { v.sweep(e, empty) })
-	s.RunFor(300 * time.Millisecond)
+	s.RunUntil(s.Now() + 300*time.Millisecond)
 	if err := v.Err(); err != nil {
 		t.Fatalf("clean run reported violations: %v", err)
 	}

@@ -417,6 +417,3 @@ func (s *Scheduler) train() {
 	s.Agent.Update(batch)
 	s.Updates++
 }
-
-// Flush trains on any remaining pending transitions (end of experiment).
-func (s *Scheduler) Flush() { s.train() }

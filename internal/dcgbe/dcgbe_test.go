@@ -12,6 +12,24 @@ import (
 	"repro/internal/trace"
 )
 
+// place dispatches r to worker n the way the schedulers do, runs the
+// clock to its arrival and fails the test unless the engine's
+// accounting holds and the node's in-transit demand is back where it
+// was before the dispatch.
+func place(t testing.TB, e *engine.Engine, r *engine.Request, n topo.NodeID) {
+	t.Helper()
+	s, node := e.Sim(), e.Node(n)
+	before := node.InTransit()
+	e.Dispatch(r, n)
+	s.RunUntil(s.Now() + e.TransitDelay(r.Cluster, n, r.SType.TxKB))
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("after placing request %d on node %d: %v", r.ID, n, err)
+	}
+	if got := node.InTransit(); got != before {
+		t.Fatalf("request %d arrived at node %d with in-transit demand %v, want %v", r.ID, n, got, before)
+	}
+}
+
 func env(clusters int) (*sim.Simulator, *engine.Engine, *topo.Topology) {
 	s := sim.New()
 	b := topo.NewBuilder()
@@ -87,7 +105,7 @@ func TestMaskingAvoidsFullNodes(t *testing.T) {
 	// Fill every worker of cluster 0 completely with BE work.
 	for _, w := range tp.Cluster(0).Workers {
 		for i := int64(0); i < 4; i++ {
-			e.DispatchLocal(e.NewRequest(trace.Request{ID: 100 + i, Type: 6, Class: trace.BE, Cluster: 0}), w)
+			place(t, e, e.NewRequest(trace.Request{ID: 100 + i, Type: 6, Class: trace.BE, Cluster: 0}), w)
 		}
 	}
 	// All picks must land on cluster 1 (the only nodes passing the
@@ -105,7 +123,7 @@ func TestAllFullFallsBackUnmasked(t *testing.T) {
 	s := New(e, 3)
 	for _, w := range tp.Cluster(0).Workers {
 		for i := int64(0); i < 4; i++ {
-			e.DispatchLocal(e.NewRequest(trace.Request{ID: 200 + i + int64(w)*10, Type: 6, Class: trace.BE, Cluster: 0}), w)
+			place(t, e, e.NewRequest(trace.Request{ID: 200 + i + int64(w)*10, Type: 6, Class: trace.BE, Cluster: 0}), w)
 		}
 	}
 	if _, ok := s.Pick(beReq(e, 1), nil); !ok {
@@ -123,11 +141,11 @@ func TestTrainingHappensEveryN(t *testing.T) {
 	if s.Updates != 2 {
 		t.Fatalf("updates = %d, want 2", s.Updates)
 	}
-	s.Flush()
+	s.train()
 	if s.Updates != 3 {
 		t.Fatalf("updates after flush = %d, want 3", s.Updates)
 	}
-	s.Flush() // idempotent on empty buffer
+	s.train() // idempotent on empty buffer
 	if s.Updates != 3 {
 		t.Fatal("flush on empty buffer trained")
 	}
@@ -138,7 +156,7 @@ func TestShortRewardDecreasesWithLoad(t *testing.T) {
 	s := New(e, 5)
 	n := e.Node(tp.Cluster(0).Workers[0])
 	idle := s.shortReward(n)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), n.ID)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), n.ID)
 	loaded := s.shortReward(n)
 	if loaded >= idle {
 		t.Fatalf("reward did not fall with load: %g -> %g", idle, loaded)

@@ -13,6 +13,24 @@ import (
 	"repro/internal/trace"
 )
 
+// place dispatches r to worker n the way the schedulers do, runs the
+// clock to its arrival and fails the test unless the engine's
+// accounting holds and the node's in-transit demand is back where it
+// was before the dispatch.
+func place(t testing.TB, e *engine.Engine, r *engine.Request, n topo.NodeID) {
+	t.Helper()
+	s, node := e.Sim(), e.Node(n)
+	before := node.InTransit()
+	e.Dispatch(r, n)
+	s.RunUntil(s.Now() + e.TransitDelay(r.Cluster, n, r.SType.TxKB))
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("after placing request %d on node %d: %v", r.ID, n, err)
+	}
+	if got := node.InTransit(); got != before {
+		t.Fatalf("request %d arrived at node %d with in-transit demand %v, want %v", r.ID, n, got, before)
+	}
+}
+
 func env(workerCPU int64) (*sim.Simulator, *engine.Engine, *topo.Topology) {
 	s := sim.New()
 	b := topo.NewBuilder()
@@ -85,7 +103,7 @@ func TestSpillsToNearbyWhenLocalFull(t *testing.T) {
 	// Fill local workers with LC load (type 3 reserves via usedLC).
 	for _, w := range tp.Cluster(0).Workers {
 		for i := int64(0); i < 4; i++ {
-			e.DispatchLocal(e.NewRequest(trace.Request{ID: 1000 + i, Type: 3, Class: trace.LC, Cluster: 0}), w)
+			place(t, e, e.NewRequest(trace.Request{ID: 1000 + i, Type: 3, Class: trace.LC, Cluster: 0}), w)
 		}
 	}
 	s := New(e, 1)
@@ -135,7 +153,7 @@ func TestOverloadSplitsProportionallyToTotalCapacity(t *testing.T) {
 		n := e.Node(w)
 		k := n.Capacity.MilliCPU / 1000
 		for i := int64(0); i < k; i++ {
-			e.DispatchLocal(e.NewRequest(trace.Request{ID: 5000 + int64(w)*100 + i, Type: 3, Class: trace.LC, Cluster: 0}), w)
+			place(t, e, e.NewRequest(trace.Request{ID: 5000 + int64(w)*100 + i, Type: 3, Class: trace.LC, Cluster: 0}), w)
 		}
 	}
 	s := New(e, 1)

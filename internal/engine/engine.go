@@ -201,9 +201,6 @@ func (e *Engine) Catalog() *trace.Catalog { return e.cfg.Catalog }
 // Topology returns the engine's topology.
 func (e *Engine) Topology() *topo.Topology { return e.cfg.Topo }
 
-// Policy returns the active resource policy.
-func (e *Engine) Policy() Policy { return e.cfg.Policy }
-
 // NewRequest materializes a trace request into a live engine request.
 func (e *Engine) NewRequest(tr trace.Request) *Request {
 	return &Request{
@@ -267,26 +264,6 @@ func (e *Engine) Dispatch(r *Request, target topo.NodeID) {
 		}
 		n.arrive(r)
 	})
-}
-
-// DispatchLocal places the request on the node without network delay
-// (used when a worker re-queues its own work).
-func (e *Engine) DispatchLocal(r *Request, target topo.NodeID) {
-	n := e.Node(target)
-	r.Target = target
-	if tr := e.trc; tr.Enabled() {
-		now := e.cfg.Sim.Now()
-		if r.SpanID == 0 {
-			r.SpanID = tr.RequestSpanID(r.ID)
-		}
-		if r.SpanID != 0 {
-			tr.EmitSpan(obs.Sp(obs.SpanSched, r.mark, now).Child(r.SpanID).Req(r.ID).
-				Clu(int(r.Cluster)).Node(int(target)).Service(int(r.Type)).
-				Cls(r.Class.String()).Dec(r.DecisionID))
-			r.mark = now
-		}
-	}
-	n.arrive(r)
 }
 
 // admit runs the policy's admission decision under the engine/admission
@@ -565,9 +542,6 @@ func (n *Node) QueuedLCDemand() res.Vector {
 	}
 	return sum
 }
-
-// RunningCount returns the number of in-flight requests.
-func (n *Node) RunningCount() int { return len(n.running) }
 
 // EffectiveDemand is the minimum allocation for a type on this node,
 // after any QoS re-assurance override.

@@ -29,6 +29,24 @@ func testEnv(policy Policy, onOutcome func(Outcome)) (*sim.Simulator, *Engine, *
 	return s, e, tp
 }
 
+// place dispatches r to worker n the way the schedulers do, runs the
+// clock to its arrival and fails the test unless the engine's
+// accounting holds and the node's in-transit demand is back where it
+// was before the dispatch.
+func place(t testing.TB, e *Engine, r *Request, n topo.NodeID) {
+	t.Helper()
+	s, node := e.Sim(), e.Node(n)
+	before := node.InTransit()
+	e.Dispatch(r, n)
+	s.RunUntil(s.Now() + e.TransitDelay(r.Cluster, n, r.SType.TxKB))
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("after placing request %d on node %d: %v", r.ID, n, err)
+	}
+	if got := node.InTransit(); got != before {
+		t.Fatalf("request %d arrived at node %d with in-transit demand %v, want %v", r.ID, n, got, before)
+	}
+}
+
 func mkReq(id int64, t trace.TypeID, at time.Duration) trace.Request {
 	cat := trace.DefaultCatalog()
 	return trace.Request{ID: id, Type: t, Class: cat.Type(t).Class, Arrival: at, Cluster: 0}
@@ -97,10 +115,10 @@ func TestQueueingWhenFull(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		e.Dispatch(e.NewRequest(mkReq(i, 3, 0)), 1)
 	}
-	s.RunFor(30 * time.Millisecond)
+	s.RunUntil(s.Now() + 30*time.Millisecond)
 	n := e.Node(1)
-	if n.RunningCount() != 4 {
-		t.Fatalf("running = %d, want 4", n.RunningCount())
+	if len(n.running) != 4 {
+		t.Fatalf("running = %d, want 4", len(n.running))
 	}
 	lcq, _ := n.QueueLen()
 	if lcq != 2 {
@@ -126,10 +144,10 @@ func TestLCAbandonment(t *testing.T) {
 	// Saturate the node with long BE work, then send an LC request that
 	// can never start within its QoS window under greedy (no preemption).
 	for i := int64(0); i < 8; i++ {
-		e.DispatchLocal(e.NewRequest(mkReq(i, 6, 0)), 1) // be-training 1000m x 8 > 4000m
+		place(t, e, e.NewRequest(mkReq(i, 6, 0)), 1) // be-training 1000m x 8 > 4000m
 	}
 	e.Dispatch(e.NewRequest(mkReq(100, 1, 0)), 1) // lc-audio, 200ms target
-	s.RunFor(2 * time.Second)
+	s.RunUntil(s.Now() + 2*time.Second)
 	var lcOut *Outcome
 	for i := range outs {
 		if outs[i].Req.ID == 100 {
@@ -152,7 +170,7 @@ func TestCompressBESpeedsLCPath(t *testing.T) {
 	n := e.Node(1)
 	// Start one BE request, then grant it all idle CPU.
 	be := e.NewRequest(mkReq(1, 6, 0)) // be-training: min 1000m
-	e.DispatchLocal(be, 1)
+	place(t, e, be, 1)
 	granted := n.GrantBE(1, 3000)
 	if granted != 3000 {
 		t.Fatalf("granted = %d", granted)
@@ -178,7 +196,7 @@ func TestCompressRespectsFloor(t *testing.T) {
 	_, e, _ := testEnv(nil, nil)
 	n := e.Node(1)
 	be := e.NewRequest(mkReq(1, 6, 0)) // min 1000m
-	e.DispatchLocal(be, 1)
+	place(t, e, be, 1)
 	// Ask for far more than can be freed: floor = 25% of 1000m = 250m.
 	freed := n.CompressBE(res.V(99999, 0, 0), 0.25)
 	if freed.MilliCPU != 750 {
@@ -190,9 +208,9 @@ func TestCompressionDelaysBECompletion(t *testing.T) {
 	var outs []Outcome
 	s, e, _ := testEnv(nil, func(o Outcome) { outs = append(outs, o) })
 	be := e.NewRequest(mkReq(1, 6, 0)) // 900000 mc-ms / 1000m = 900ms
-	e.DispatchLocal(be, 1)
+	place(t, e, be, 1)
 	// Let it run 300ms, then halve its CPU.
-	s.RunFor(300 * time.Millisecond)
+	s.RunUntil(s.Now() + 300*time.Millisecond)
 	n := e.Node(1)
 	n.CompressBE(res.V(500, 0, 0), 0.25)
 	s.Run()
@@ -211,8 +229,8 @@ func TestEvictBERestartsWork(t *testing.T) {
 	var outs []Outcome
 	s, e, _ := testEnv(nil, func(o Outcome) { outs = append(outs, o) })
 	be := e.NewRequest(mkReq(1, 6, 0)) // 2048Mi
-	e.DispatchLocal(be, 1)
-	s.RunFor(500 * time.Millisecond)
+	place(t, e, be, 1)
+	s.RunUntil(s.Now() + 500*time.Millisecond)
 	n := e.Node(1)
 	free := n.Free().MemoryMiB
 	if !n.EvictBEUntil(res.V(0, free+1000, 0)) {
@@ -224,7 +242,7 @@ func TestEvictBERestartsWork(t *testing.T) {
 	if be.Restarts != 1 {
 		t.Fatalf("restarts = %d", be.Restarts)
 	}
-	if n.RunningCount() != 0 {
+	if len(n.running) != 0 {
 		t.Fatal("evicted BE still running")
 	}
 	_, beq := n.QueueLen()
@@ -232,7 +250,7 @@ func TestEvictBERestartsWork(t *testing.T) {
 		t.Fatalf("BE queue = %d", beq)
 	}
 	// Nothing finishes until a drain happens; trigger by a quick LC cycle.
-	e.DispatchLocal(e.NewRequest(mkReq(2, 1, s.Now())), 1)
+	place(t, e, e.NewRequest(mkReq(2, 1, s.Now())), 1)
 	s.Run()
 	if len(outs) != 2 {
 		t.Fatalf("outcomes = %d", len(outs))
@@ -289,11 +307,11 @@ func TestTransitDelayLANvsWAN(t *testing.T) {
 func TestAvailableForLCIncludesBEHoldings(t *testing.T) {
 	_, e, _ := testEnv(nil, nil)
 	n := e.Node(1)
-	e.DispatchLocal(e.NewRequest(mkReq(1, 6, 0)), 1) // BE holds 1000m/2048Mi
+	place(t, e, e.NewRequest(mkReq(1, 6, 0)), 1) // BE holds 1000m/2048Mi
 	if n.AvailableForLC() != n.Capacity {
 		t.Fatalf("AvailableForLC = %v, want full capacity %v", n.AvailableForLC(), n.Capacity)
 	}
-	e.DispatchLocal(e.NewRequest(mkReq(2, 1, 0)), 1) // LC holds 250m/256Mi
+	place(t, e, e.NewRequest(mkReq(2, 1, 0)), 1) // LC holds 250m/256Mi
 	want := n.Capacity.Sub(res.V(250, 256, 2))
 	if n.AvailableForLC() != want {
 		t.Fatalf("AvailableForLC = %v, want %v", n.AvailableForLC(), want)
@@ -339,7 +357,7 @@ func TestUtilizationMetrics(t *testing.T) {
 	if n.Utilization() != 0 {
 		t.Fatal("fresh node not idle")
 	}
-	e.DispatchLocal(e.NewRequest(mkReq(1, 6, 0)), 1) // 1000m of 4000m
+	place(t, e, e.NewRequest(mkReq(1, 6, 0)), 1) // 1000m of 4000m
 	if n.Utilization() <= 0 {
 		t.Fatal("dominant share should be positive")
 	}
@@ -354,7 +372,7 @@ func TestOverCommitPanics(t *testing.T) {
 			t.Fatal("overcommit did not panic")
 		}
 	}()
-	e.DispatchLocal(e.NewRequest(mkReq(1, 1, 0)), 1)
+	place(t, e, e.NewRequest(mkReq(1, 1, 0)), 1)
 }
 
 func TestZeroCPUAllocPanics(t *testing.T) {
@@ -366,7 +384,7 @@ func TestZeroCPUAllocPanics(t *testing.T) {
 			t.Fatal("zero-CPU alloc did not panic")
 		}
 	}()
-	e.DispatchLocal(e.NewRequest(mkReq(1, 1, 0)), 1)
+	place(t, e, e.NewRequest(mkReq(1, 1, 0)), 1)
 }
 
 func TestNonWorkerNodePanics(t *testing.T) {

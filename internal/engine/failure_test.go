@@ -30,11 +30,11 @@ func TestFailDisplacesRunningAndQueued(t *testing.T) {
 	n := e.Node(1)
 	// 4 running BE (fills CPU), 2 queued BE, 1 queued LC.
 	for i := int64(0); i < 6; i++ {
-		e.DispatchLocal(e.NewRequest(trace.Request{ID: i, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+		place(t, e, e.NewRequest(trace.Request{ID: i, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	}
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 100, Type: 3, Class: trace.LC, Cluster: 0}), 1)
-	if n.RunningCount() != 4 {
-		t.Fatalf("setup: running = %d", n.RunningCount())
+	place(t, e, e.NewRequest(trace.Request{ID: 100, Type: 3, Class: trace.LC, Cluster: 0}), 1)
+	if len(n.running) != 4 {
+		t.Fatalf("setup: running = %d", len(n.running))
 	}
 	n.Fail()
 	if !n.Down() {
@@ -67,7 +67,7 @@ func TestFailIsIdempotentAndRecoverWorks(t *testing.T) {
 	calls := 0
 	s, e := failEnv(func(rs []*Request) { calls++ }, nil)
 	n := e.Node(1)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	n.Fail()
 	n.Fail() // no-op
 	if calls != 1 {
@@ -77,7 +77,7 @@ func TestFailIsIdempotentAndRecoverWorks(t *testing.T) {
 	if n.Down() {
 		t.Fatal("still down after Recover")
 	}
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	s.Run()
 	if e.Completed != 1 {
 		t.Fatalf("completed after recover = %d", e.Completed)
@@ -98,8 +98,8 @@ func TestArrivalAtDownNodeDisplaced(t *testing.T) {
 func TestFailWithoutHandlerEmitsFailedOutcomes(t *testing.T) {
 	var outs []Outcome
 	s, e := failEnv(nil, func(o Outcome) { outs = append(outs, o) })
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 1, Class: trace.LC, Cluster: 0}), 1)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 1, Class: trace.LC, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	e.Node(1).Fail()
 	if len(outs) != 2 {
 		t.Fatalf("outcomes = %d", len(outs))
@@ -119,7 +119,7 @@ func TestDisplacedRequestTracksRestart(t *testing.T) {
 	var displaced []*Request
 	_, e := failEnv(func(rs []*Request) { displaced = rs }, nil)
 	r := e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0})
-	e.DispatchLocal(r, 1)
+	place(t, e, r, 1)
 	e.Node(1).Fail()
 	if len(displaced) != 1 || displaced[0].Restarts != 1 {
 		t.Fatalf("running request should count a restart: %+v", displaced)
@@ -185,7 +185,7 @@ func TestClusterKillInFlightWithoutHandler(t *testing.T) {
 
 func TestFailRecoverClusterRoundTrip(t *testing.T) {
 	s, e := failEnv(func(rs []*Request) {}, nil)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	if n := e.FailCluster(0); n != 2 {
 		t.Fatalf("FailCluster = %d, want 2", n)
 	}
@@ -195,7 +195,7 @@ func TestFailRecoverClusterRoundTrip(t *testing.T) {
 	if n := e.RecoverCluster(0); n != 2 {
 		t.Fatalf("RecoverCluster = %d, want 2", n)
 	}
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 2, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	s.Run()
 	if e.Completed != 1 {
 		t.Fatalf("completed after cluster recovery = %d, want 1", e.Completed)
@@ -221,7 +221,7 @@ func TestDisplaceFailedBypassesHandler(t *testing.T) {
 		t.Fatalf("abandoned = %d, want 1", e.Abandoned)
 	}
 	// The handler must be back in place for ordinary failures.
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 3, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 3, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	e.Node(1).Fail()
 	if handlerCalls != 1 {
 		t.Fatalf("OnDisplaced calls after restore = %d, want 1", handlerCalls)
@@ -233,8 +233,8 @@ func TestDownNodeExcludedUntilRecovery(t *testing.T) {
 	n1, n2 := e.Node(1), e.Node(2)
 	n1.Fail()
 	// The other node still works.
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 1, Class: trace.LC, Cluster: 0}), 2)
-	s.RunFor(5 * time.Second)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 1, Class: trace.LC, Cluster: 0}), 2)
+	s.RunUntil(s.Now() + 5*time.Second)
 	if e.Completed != 1 {
 		t.Fatal("healthy node should keep completing")
 	}

@@ -105,7 +105,7 @@ func TestQuickEngineInvariants(t *testing.T) {
 				total++
 				e.Dispatch(r, workers[rng.Intn(2)])
 			}
-			s.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
+			s.RunUntil(s.Now() + time.Duration(rng.Intn(200))*time.Millisecond)
 			if !check() {
 				return false
 			}
@@ -115,7 +115,7 @@ func TestQuickEngineInvariants(t *testing.T) {
 		for _, w := range workers {
 			e.Node(w).Recover()
 		}
-		s.RunFor(time.Hour)
+		s.RunUntil(s.Now() + time.Hour)
 		return outcomes+displaced+queued(e, workers) == total && check()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

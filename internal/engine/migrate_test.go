@@ -40,14 +40,15 @@ func TestMigratePreservesProgress(t *testing.T) {
 	s, e, tp := migEnv(nil, nil)
 	st := trace.DefaultCatalog().Type(6) // be-training: 900k mcpu-ms / 1000 mcpu
 	full := time.Duration(float64(st.Work) / float64(st.MinDemand.MilliCPU) * float64(time.Millisecond))
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
-	s.RunFor(full / 2)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	start := s.Now() // arrival, after the dispatch transit
+	s.RunUntil(start + full/2)
 	if !e.Migrate(1, 2, 1) {
 		t.Fatal("intra-cluster migration refused")
 	}
 	src := e.Node(1)
-	if src.RunningCount() != 0 || !src.Used().IsZero() {
-		t.Fatalf("source did not release: running=%d used=%v", src.RunningCount(), src.Used())
+	if len(src.running) != 0 || !src.Used().IsZero() {
+		t.Fatalf("source did not release: running=%d used=%v", len(src.running), src.Used())
 	}
 	s.Run()
 	if e.Completed != 1 {
@@ -55,7 +56,7 @@ func TestMigratePreservesProgress(t *testing.T) {
 	}
 	// Progress carried: finish at half + transfer + remaining half, not
 	// half + transfer + full (a restart).
-	want := full/2 + expectedTransfer(tp, 1, 2, st) + full/2
+	want := start + full/2 + expectedTransfer(tp, 1, 2, st) + full/2
 	if diff := s.Now() - want; diff < -2*time.Millisecond || diff > 2*time.Millisecond {
 		t.Fatalf("finish at %v, want ~%v (restart would be ~%v)", s.Now(), want, want+full/2)
 	}
@@ -67,8 +68,8 @@ func TestMigratePreservesProgress(t *testing.T) {
 func TestMigrateTargetDiesMidTransfer(t *testing.T) {
 	var displaced []*Request
 	s, e, _ := migEnv(func(rs []*Request) { displaced = append(displaced, rs...) }, nil)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 7, Type: 6, Class: trace.BE, Cluster: 0}), 1)
-	s.RunFor(100 * time.Millisecond)
+	place(t, e, e.NewRequest(trace.Request{ID: 7, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	s.RunUntil(s.Now() + 100*time.Millisecond)
 	if !e.Migrate(1, 4, 7) {
 		t.Fatal("cross-cluster migration refused")
 	}
@@ -92,13 +93,13 @@ func TestMigrateTargetDiesMidTransfer(t *testing.T) {
 
 func TestMigrateDuringPartitionRefused(t *testing.T) {
 	s, e, tp := migEnv(nil, nil)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 3, Type: 6, Class: trace.BE, Cluster: 0}), 1)
-	s.RunFor(50 * time.Millisecond)
+	place(t, e, e.NewRequest(trace.Request{ID: 3, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	s.RunUntil(s.Now() + 50*time.Millisecond)
 	tp.Net().Partition(0, 1)
 	if e.Migrate(1, 4, 3) {
 		t.Fatal("migration crossed a partitioned WAN link")
 	}
-	if e.Node(1).RunningCount() != 1 {
+	if len(e.Node(1).running) != 1 {
 		t.Fatal("refused migration must leave the source untouched")
 	}
 	tp.Net().Heal(0, 1)
@@ -113,7 +114,7 @@ func TestMigrateDuringPartitionRefused(t *testing.T) {
 
 func TestMigrateRefusals(t *testing.T) {
 	s, e, _ := migEnv(nil, nil)
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), 1)
 	if e.Migrate(1, 1, 1) {
 		t.Fatal("self-migration accepted")
 	}

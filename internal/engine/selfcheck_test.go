@@ -31,7 +31,7 @@ func TestSelfCheckAfterFailure(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		e.Dispatch(e.NewRequest(mkReq(i, 3, 0)), 1)
 	}
-	s.RunFor(20 * time.Millisecond)
+	s.RunUntil(s.Now() + 20*time.Millisecond)
 	e.Node(1).Fail()
 	if err := e.SelfCheck(); err != nil {
 		t.Fatalf("self-check after node failure: %v", err)
@@ -48,7 +48,7 @@ func TestSelfCheckDetectsCorruption(t *testing.T) {
 	setup := func() (*Engine, *Node) {
 		s, e, _ := testEnv(nil, nil)
 		e.Dispatch(e.NewRequest(mkReq(1, 1, 0)), 1)
-		s.RunFor(50 * time.Millisecond) // request is mid-execution
+		s.RunUntil(s.Now() + 50*time.Millisecond) // request is mid-execution
 		n := e.Node(1)
 		if len(n.running) != 1 {
 			t.Fatalf("setup: running = %d, want 1", len(n.running))

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/cgroup"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dcgbe"
 	"repro/internal/dsslc"
@@ -54,15 +53,6 @@ type Config struct {
 	// the default DSS-LC scheduler — baselines that install their own
 	// MakeLC are untouched.
 	Shards int
-	// Chaos, when non-empty, arms a chaos.Preset fault program of that
-	// name (churn | partition | flash | all) over every system the
-	// experiment runs; ChaosSeed seeds the fault draw (0 = Seed).
-	// Defrag adds the periodic BE defragmentation pass. Experiments
-	// that manage their own programs (ChaosMigration, ChaosSurvival)
-	// keep theirs — apply never overrides an explicit Options.Chaos.
-	Chaos     string
-	ChaosSeed int64
-	Defrag    bool
 }
 
 // apply threads the experiment-level observability settings into one
@@ -74,20 +64,6 @@ func (c Config) apply(o core.Options) core.Options {
 	}
 	if c.Shards > 0 {
 		o.LCShards = c.Shards
-	}
-	if c.Chaos != "" && o.Chaos == nil {
-		seed := c.ChaosSeed
-		if seed == 0 {
-			seed = c.Seed
-		}
-		prog, err := chaos.Preset(c.Chaos, o.Topo, c.Duration, seed)
-		if err != nil {
-			panic(err)
-		}
-		o.Chaos = &prog
-	}
-	if c.Defrag {
-		o.Defrag = true
 	}
 	return o
 }
@@ -135,13 +111,6 @@ func (c Config) clustersOf(t *topo.Topology) []topo.ClusterID {
 		out = append(out, cl.ID)
 	}
 	return out
-}
-
-func (c Config) trace(t *topo.Topology, p trace.Pattern, seed int64) []trace.Request {
-	cfg := trace.DefaultGenConfig(c.clustersOf(t), p, c.Duration, seed)
-	cfg.LCRatePerSec = c.LCRate
-	cfg.BERatePerSec = c.BERate
-	return trace.Generate(cfg)
 }
 
 // ratesFor converts offered-load fractions of the topology's total CPU
@@ -470,12 +439,14 @@ func Fig11ab(cfg Config) *Result {
 	}
 }
 
-// DecisionTime measures DSS-LC's batch decision latency at 500 and 1000
-// nodes (paper: 1.99 ms and 3.98 ms).
+// DecisionTime measures DSS-LC's batch decision latency for a batch of
+// 100 requests on fleets of 100 to 2000 nodes, extending the paper's two
+// points (500 and 1000 nodes: 1.99 ms and 3.98 ms) into a curve.
 func DecisionTime(cfg Config, measure func(func()) time.Duration) *Result {
-	tb := metrics.NewTable("§7.2 — DSS-LC decision time", "nodes", "decision time")
+	tb := metrics.NewTable("§7.2 — DSS-LC decision time",
+		"nodes", "batch=100 decision time", "per-request µs")
 	values := map[string]float64{}
-	for _, nodes := range []int{500, 1000} {
+	for _, nodes := range []int{100, 250, 500, 1000, 2000} {
 		clusters := nodes / 10
 		tp := topo.Generate(topo.GenConfig{
 			Clusters: clusters, MinWorkers: 10, MaxWorkers: 10,
@@ -495,7 +466,7 @@ func DecisionTime(cfg Config, measure func(func()) time.Duration) *Result {
 		}
 		out := dsslc.Assignment{}
 		el := measure(func() { d.ScheduleBatchInto(0, batch, out) })
-		tb.AddRowF(nodes, el)
+		tb.AddRowF(nodes, el, float64(el)/float64(time.Microsecond)/100)
 		values[fmt.Sprintf("decision_ms_%d", nodes)] = float64(el) / float64(time.Millisecond)
 	}
 	return &Result{

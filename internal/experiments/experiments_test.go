@@ -188,15 +188,15 @@ func TestFailoverExperiment(t *testing.T) {
 }
 
 func TestScalabilityMonotoneEnough(t *testing.T) {
-	r := Scalability(tiny(), func(f func()) time.Duration {
+	r := DecisionTime(tiny(), func(f func()) time.Duration {
 		start := time.Now()
 		f()
 		return time.Since(start)
 	})
-	if r.Values["ms_100"] <= 0 || r.Values["ms_2000"] <= 0 {
+	if r.Values["decision_ms_100"] <= 0 || r.Values["decision_ms_2000"] <= 0 {
 		t.Fatalf("missing points: %v", r.Values)
 	}
-	if r.Values["ms_2000"] > 1000 {
-		t.Fatalf("2000-node decision took %.0f ms", r.Values["ms_2000"])
+	if r.Values["decision_ms_2000"] > 1000 {
+		t.Fatalf("2000-node decision took %.0f ms", r.Values["decision_ms_2000"])
 	}
 }

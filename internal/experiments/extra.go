@@ -2,15 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/dsslc"
-	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/res"
-	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -82,47 +76,5 @@ func Failover(cfg Config) *Result {
 			fmt.Sprintf("worst per-period QoS during the outage: %.3f", trough),
 			"extension beyond the paper: exercises displaced-request re-dispatch and dead-node masking",
 		},
-	}
-}
-
-// Scalability sweeps DSS-LC's batch decision time across fleet sizes,
-// extending the paper's two-point measurement (500/1000 nodes) into a
-// curve, and also reports the per-decision cost of the flow solve.
-func Scalability(cfg Config, measure func(func()) time.Duration) *Result {
-	tb := metrics.NewTable("Extension — DSS-LC decision-time scaling",
-		"nodes", "batch=100 decision time", "per-request µs")
-	values := map[string]float64{}
-	for _, nodes := range []int{100, 250, 500, 1000, 2000} {
-		clusters := nodes / 10
-		if clusters < 1 {
-			clusters = 1
-		}
-		tp := topo.Generate(topo.GenConfig{
-			Clusters: clusters, MinWorkers: 10, MaxWorkers: 10,
-			MasterCap:    res.V(8000, 16384, 1000),
-			WorkerCapMin: res.V(4000, 8192, 200), WorkerCapMax: res.V(16000, 32768, 1000),
-			RegionSpreadDeg: 3, CenterLat: 32, CenterLon: 118,
-		}, rand.New(rand.NewSource(cfg.Seed)))
-		s := sim.New()
-		e := engine.New(engine.Config{Sim: s, Topo: tp, Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{}})
-		d := dsslc.New(e, cfg.Seed)
-		d.GeoRadiusKm = 1e9
-		var batch []*engine.Request
-		for i := 0; i < 100; i++ {
-			batch = append(batch, e.NewRequest(trace.Request{
-				ID: int64(i), Type: trace.TypeID(i % 5), Class: trace.LC, Cluster: 0,
-			}))
-		}
-		out := dsslc.Assignment{}
-		el := measure(func() { d.ScheduleBatchInto(0, batch, out) })
-		tb.AddRowF(nodes, el, float64(el)/float64(time.Microsecond)/100)
-		values[fmt.Sprintf("ms_%d", nodes)] = float64(el) / float64(time.Millisecond)
-	}
-	return &Result{
-		ID:     "scalability",
-		Title:  "DSS-LC decision-time scaling curve",
-		Tables: []*metrics.Table{tb},
-		Values: values,
-		Notes:  []string{"the paper's two points (500→1.99 ms, 1000→3.98 ms) extended to a sweep"},
 	}
 }

@@ -70,8 +70,6 @@ type Encoder interface {
 	Backward(dOut *nn.Mat)
 	// Params returns the trainable parameters.
 	Params() []*nn.Param
-	// Name identifies the encoder in experiment output.
-	Name() string
 }
 
 // sageLayer is one GraphSAGE aggregation: out = ReLU(mean(self∪N(i)) · W).
@@ -116,9 +114,6 @@ func NewSAGE(rng *rand.Rand, p int, dims ...int) *SAGE {
 	}
 	return s
 }
-
-// Name implements Encoder.
-func (s *SAGE) Name() string { return "GraphSAGE" }
 
 // Params implements Encoder.
 func (s *SAGE) Params() []*nn.Param {
@@ -269,9 +264,6 @@ func NewGCN(rng *rand.Rand, dims ...int) *GCN {
 	return g
 }
 
-// Name implements Encoder.
-func (g *GCN) Name() string { return "GCN" }
-
 // Params implements Encoder.
 func (g *GCN) Params() []*nn.Param { return g.ws }
 
@@ -357,9 +349,6 @@ func NewGAT(rng *rand.Rand, dims ...int) *GAT {
 	}
 	return g
 }
-
-// Name implements Encoder.
-func (g *GAT) Name() string { return "GAT" }
 
 // Params implements Encoder.
 func (g *GAT) Params() []*nn.Param {
@@ -457,9 +446,6 @@ type Native struct {
 func NewNative(rng *rand.Rand, dims ...int) *Native {
 	return &Native{mlp: nn.NewMLP(rng, dims...)}
 }
-
-// Name implements Encoder.
-func (n *Native) Name() string { return "Native" }
 
 // Forward implements Encoder.
 func (n *Native) Forward(g *Graph, x *nn.Mat) *nn.Mat {

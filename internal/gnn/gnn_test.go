@@ -66,12 +66,18 @@ func TestSampleNeighbors(t *testing.T) {
 	}
 }
 
-func encoders(rng *rand.Rand, f, h, out int) []Encoder {
-	return []Encoder{
-		NewSAGE(rng, 0, f, h, out),
-		NewGCN(rng, f, h, out),
-		NewGAT(rng, f, h, out),
-		NewNative(rng, f, h, out),
+// namedEncoder labels a table case's encoder for failure messages.
+type namedEncoder struct {
+	name string
+	Encoder
+}
+
+func encoders(rng *rand.Rand, f, h, out int) []namedEncoder {
+	return []namedEncoder{
+		{"GraphSAGE", NewSAGE(rng, 0, f, h, out)},
+		{"GCN", NewGCN(rng, f, h, out)},
+		{"GAT", NewGAT(rng, f, h, out)},
+		{"Native", NewNative(rng, f, h, out)},
 	}
 }
 
@@ -79,20 +85,13 @@ func TestEncoderShapesAndNames(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := lineGraph(6)
 	x := feat(rng, 6, 5)
-	names := map[string]bool{}
 	for _, e := range encoders(rng, 5, 8, 4) {
 		y := e.Forward(g, x)
 		if y.R != 6 || y.C != 4 {
-			t.Fatalf("%s: output %dx%d, want 6x4", e.Name(), y.R, y.C)
+			t.Fatalf("%s: output %dx%d, want 6x4", e.name, y.R, y.C)
 		}
 		if len(e.Params()) == 0 {
-			t.Fatalf("%s: no params", e.Name())
-		}
-		names[e.Name()] = true
-	}
-	for _, n := range []string{"GraphSAGE", "GCN", "GAT", "Native"} {
-		if !names[n] {
-			t.Fatalf("missing encoder %s", n)
+			t.Fatalf("%s: no params", e.name)
 		}
 	}
 }
@@ -110,7 +109,11 @@ func TestGraphEncodersUseTopology(t *testing.T) {
 		x.Set(2, j, float64(j))
 		x.Set(3, j, -1)
 	}
-	for _, e := range []Encoder{NewSAGE(rng, 0, 3, 8, 4), NewGCN(rng, 3, 8, 4), NewGAT(rng, 3, 8, 4)} {
+	for _, e := range []namedEncoder{
+		{"GraphSAGE", NewSAGE(rng, 0, 3, 8, 4)},
+		{"GCN", NewGCN(rng, 3, 8, 4)},
+		{"GAT", NewGAT(rng, 3, 8, 4)},
+	} {
 		y := e.Forward(g, x)
 		same := true
 		for c := 0; c < y.C; c++ {
@@ -119,7 +122,7 @@ func TestGraphEncodersUseTopology(t *testing.T) {
 			}
 		}
 		if same {
-			t.Errorf("%s: identical embeddings for structurally different nodes", e.Name())
+			t.Errorf("%s: identical embeddings for structurally different nodes", e.name)
 		}
 	}
 	nat := NewNative(rng, 3, 8, 4)
@@ -171,7 +174,7 @@ func gradCheck(t *testing.T, enc Encoder, g *Graph, x *nn.Mat, tol float64) {
 			want := (lp - lm) / (2 * h)
 			got := p.Grad.Data[i]
 			if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-				t.Fatalf("%s %s[%d]: grad %g vs numerical %g", enc.Name(), p.Name, i, got, want)
+				t.Fatalf("%s[%d]: grad %g vs numerical %g", p.Name, i, got, want)
 			}
 		}
 	}
@@ -238,9 +241,9 @@ func TestGATTrainsDown(t *testing.T) {
 // same-architecture teacher (guaranteed representable), demonstrating
 // that the backward pass trains all layers.
 func TestEncodersLearnTeacher(t *testing.T) {
-	for _, mk := range []func(*rand.Rand) Encoder{
-		func(r *rand.Rand) Encoder { return NewSAGE(r, 0, 2, 8, 1) },
-		func(r *rand.Rand) Encoder { return NewGCN(r, 2, 8, 1) },
+	for name, mk := range map[string]func(*rand.Rand) Encoder{
+		"GraphSAGE": func(r *rand.Rand) Encoder { return NewSAGE(r, 0, 2, 8, 1) },
+		"GCN":       func(r *rand.Rand) Encoder { return NewGCN(r, 2, 8, 1) },
 	} {
 		teacher := mk(rand.New(rand.NewSource(99)))
 		student := mk(rand.New(rand.NewSource(11)))
@@ -269,7 +272,7 @@ func TestEncodersLearnTeacher(t *testing.T) {
 			opt.Step(student.Params())
 		}
 		if last > first/10 {
-			t.Errorf("%s: teacher fit loss %g -> %g (want 10x drop)", student.Name(), first, last)
+			t.Errorf("%s: teacher fit loss %g -> %g (want 10x drop)", name, first, last)
 		}
 	}
 }
@@ -300,7 +303,7 @@ func TestForwardPanicsOnBadShapes(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: no panic on bad shape", e.Name())
+					t.Errorf("%s: no panic on bad shape", e.name)
 				}
 			}()
 			e.Forward(g, x)

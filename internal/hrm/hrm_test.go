@@ -24,6 +24,24 @@ func env(p engine.Policy, onOut func(engine.Outcome)) (*sim.Simulator, *engine.E
 	return s, e
 }
 
+// place dispatches r to worker n the way the schedulers do, runs the
+// clock to its arrival and fails the test unless the engine's
+// accounting holds and the node's in-transit demand is back where it
+// was before the dispatch.
+func place(t testing.TB, e *engine.Engine, r *engine.Request, n topo.NodeID) {
+	t.Helper()
+	s, node := e.Sim(), e.Node(n)
+	before := node.InTransit()
+	e.Dispatch(r, n)
+	s.RunUntil(s.Now() + e.TransitDelay(r.Cluster, n, r.SType.TxKB))
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("after placing request %d on node %d: %v", r.ID, n, err)
+	}
+	if got := node.InTransit(); got != before {
+		t.Fatalf("request %d arrived at node %d with in-transit demand %v, want %v", r.ID, n, got, before)
+	}
+}
+
 func req(e *engine.Engine, id int64, t trace.TypeID, at time.Duration) *engine.Request {
 	cat := trace.DefaultCatalog()
 	return e.NewRequest(trace.Request{ID: id, Type: t, Class: cat.Type(t).Class, Arrival: at, Cluster: 0})
@@ -36,20 +54,17 @@ func TestRegulationsLCPreemptsBECompressible(t *testing.T) {
 	// Two BE analytics jobs (500m/1024Mi each), boosted to soak all CPU;
 	// memory stays plentiful so only compression is needed.
 	for i := int64(0); i < 2; i++ {
-		e.DispatchLocal(req(e, i, 5, 0), 1)
+		place(t, e, req(e, i, 5, 0), 1)
 		n.GrantBE(i, 1500)
 	}
 	if n.Free().MilliCPU != 0 {
 		t.Fatalf("setup: free = %v", n.Free())
 	}
 	// LC request must be admitted by compressing BE CPU.
-	e.DispatchLocal(req(e, 100, 3, 0), 1) // needs 1000m/1024Mi
-	if n.RunningCount() != 3 {
-		t.Fatalf("running = %d, want 3 (LC admitted via compression)", n.RunningCount())
-	}
-	lcq, _ := n.QueueLen()
-	if lcq != 0 {
-		t.Fatal("LC queued despite available BE resources")
+	place(t, e, req(e, 100, 3, 0), 1) // needs 1000m/1024Mi
+	if lcq, beq := n.QueueLen(); lcq != 0 || beq != 0 || n.RunningBECount() != 2 {
+		t.Fatalf("queued = (%d, %d), running BE = %d; want the LC admitted via compression",
+			lcq, beq, n.RunningBECount())
 	}
 	s.Run()
 	if e.Completed != 3 {
@@ -63,17 +78,17 @@ func TestRegulationsLCEvictsBEForMemory(t *testing.T) {
 	n := e.Node(1)
 	// Four BE training jobs: 4x2048Mi = 8192Mi — all memory gone.
 	for i := int64(0); i < 4; i++ {
-		e.DispatchLocal(req(e, i, 6, 0), 1)
+		place(t, e, req(e, i, 6, 0), 1)
 	}
 	if n.Free().MemoryMiB != 0 {
 		t.Fatalf("setup: free mem = %d", n.Free().MemoryMiB)
 	}
 	// LC needs 1024Mi: a BE must be evicted (memory is incompressible).
-	e.DispatchLocal(req(e, 100, 3, 0), 1)
-	if n.RunningCount() != 4 { // 3 BE + 1 LC
-		t.Fatalf("running = %d", n.RunningCount())
+	place(t, e, req(e, 100, 3, 0), 1)
+	lcq, beq := n.QueueLen()
+	if lcq != 0 || n.RunningBECount() != 3 { // 3 BE + 1 LC running
+		t.Fatalf("LC queued = %d, running BE = %d", lcq, n.RunningBECount())
 	}
-	_, beq := n.QueueLen()
 	if beq != 1 {
 		t.Fatalf("evicted BE should be queued: %d", beq)
 	}
@@ -89,14 +104,14 @@ func TestRegulationsBEOnlyUsesIdle(t *testing.T) {
 	n := e.Node(1)
 	// LC fills CPU: 4 AR-inference at 1000m.
 	for i := int64(0); i < 4; i++ {
-		e.DispatchLocal(req(e, i, 3, 0), 1)
+		place(t, e, req(e, i, 3, 0), 1)
 	}
 	// BE must queue, not preempt LC.
-	e.DispatchLocal(req(e, 100, 5, 0), 1)
-	if n.RunningCount() != 4 {
-		t.Fatalf("BE should not preempt LC: running = %d", n.RunningCount())
+	place(t, e, req(e, 100, 5, 0), 1)
+	lcq, beq := n.QueueLen()
+	if lcq != 0 || n.RunningBECount() != 0 {
+		t.Fatalf("BE should not preempt LC: LC queued = %d, running BE = %d", lcq, n.RunningBECount())
 	}
-	_, beq := n.QueueLen()
 	if beq != 1 {
 		t.Fatalf("BE queue = %d", beq)
 	}
@@ -106,15 +121,15 @@ func TestRegulationsBEReclaimsBoostFromPeers(t *testing.T) {
 	pol := NewRegulations()
 	_, e := env(pol, nil)
 	n := e.Node(1)
-	e.DispatchLocal(req(e, 1, 5, 0), 1) // be-analytics 500m
-	n.GrantBE(1, 3500)                  // boosted to the whole node
+	place(t, e, req(e, 1, 5, 0), 1) // be-analytics 500m
+	n.GrantBE(1, 3500)              // boosted to the whole node
 	if n.Free().MilliCPU != 0 {
 		t.Fatal("setup: node should be fully boosted")
 	}
 	// A second BE (500m) must be admitted by reclaiming boost only.
-	e.DispatchLocal(req(e, 2, 5, 0), 1)
-	if n.RunningCount() != 2 {
-		t.Fatalf("running = %d, want 2", n.RunningCount())
+	place(t, e, req(e, 2, 5, 0), 1)
+	if n.RunningBECount() != 2 {
+		t.Fatalf("running BE = %d, want 2", n.RunningBECount())
 	}
 }
 
@@ -124,10 +139,10 @@ func TestRegulationsDisablePreemptionAblation(t *testing.T) {
 	_, e := env(pol, nil)
 	n := e.Node(1)
 	for i := int64(0); i < 4; i++ {
-		e.DispatchLocal(req(e, i, 6, 0), 1)
+		place(t, e, req(e, i, 6, 0), 1)
 	}
-	e.DispatchLocal(req(e, 100, 3, 0), 1)
-	if n.RunningCount() != 4 {
+	place(t, e, req(e, 100, 3, 0), 1)
+	if n.RunningBECount() != 4 {
 		t.Fatal("preemption happened despite ablation flag")
 	}
 	lcq, _ := n.QueueLen()
@@ -142,21 +157,21 @@ func TestStaticPartitionSeparatesClasses(t *testing.T) {
 	n := e.Node(1)
 	// LC partition = 2000m/4096Mi. Two type-3 (1000m) fill it.
 	for i := int64(0); i < 3; i++ {
-		e.DispatchLocal(req(e, i, 3, 0), 1)
+		place(t, e, req(e, i, 3, 0), 1)
 	}
-	if n.RunningCount() != 2 {
-		t.Fatalf("LC running = %d, want 2 (partition full)", n.RunningCount())
+	if lcq, _ := n.QueueLen(); lcq != 1 {
+		t.Fatalf("LC queued = %d, want 1 (partition full)", lcq)
 	}
 	// BE partition still takes BE work even though LC is queued.
-	e.DispatchLocal(req(e, 100, 6, 0), 1)
-	if n.RunningCount() != 3 {
-		t.Fatalf("BE not admitted to its partition: %d", n.RunningCount())
+	place(t, e, req(e, 100, 6, 0), 1)
+	if n.RunningBECount() != 1 {
+		t.Fatalf("BE not admitted to its partition: %d", n.RunningBECount())
 	}
 	// BE partition = 2000m: second training job (1000m) fits, third not.
-	e.DispatchLocal(req(e, 101, 6, 0), 1)
-	e.DispatchLocal(req(e, 102, 6, 0), 1)
-	if n.RunningCount() != 4 {
-		t.Fatalf("running = %d, want 4", n.RunningCount())
+	place(t, e, req(e, 101, 6, 0), 1)
+	place(t, e, req(e, 102, 6, 0), 1)
+	if _, beq := n.QueueLen(); beq != 1 || n.RunningBECount() != 2 {
+		t.Fatalf("BE queued = %d, running BE = %d; want 1, 2", beq, n.RunningBECount())
 	}
 }
 
@@ -190,10 +205,10 @@ func TestBoosterExpandsBEIntoIdle(t *testing.T) {
 	pol := NewRegulations()
 	s, e := env(pol, nil)
 	n := e.Node(1)
-	e.DispatchLocal(req(e, 1, 6, 0), 1) // 1000m of 4000m
+	place(t, e, req(e, 1, 6, 0), 1) // 1000m of 4000m
 	b := NewBooster(e)
 	b.Start(s)
-	s.RunFor(250 * time.Millisecond)
+	s.RunUntil(s.Now() + 250*time.Millisecond)
 	// After one boost tick the BE should hold ~90% of the node's CPU.
 	if n.Used().MilliCPU < 3000 {
 		t.Fatalf("BE not boosted: used = %v", n.Used())
@@ -208,16 +223,16 @@ func TestBoostedBEYieldsToLC(t *testing.T) {
 	pol := NewRegulations()
 	s, e := env(pol, nil)
 	n := e.Node(1)
-	e.DispatchLocal(req(e, 1, 6, 0), 1)
+	place(t, e, req(e, 1, 6, 0), 1)
 	boost := NewBooster(e).Start(s)
-	s.RunFor(250 * time.Millisecond)
+	s.RunUntil(s.Now() + 250*time.Millisecond)
 	used := n.Used().MilliCPU
 	if used < 3000 {
 		t.Fatalf("setup: boost failed (used %d)", used)
 	}
 	// LC arrives needing 1000m; compression must free it instantly.
-	e.DispatchLocal(req(e, 2, 3, s.Now()), 1)
-	if n.RunningCount() != 2 {
+	place(t, e, req(e, 2, 3, s.Now()), 1)
+	if lcq, _ := n.QueueLen(); lcq != 0 || n.RunningBECount() != 1 {
 		t.Fatal("LC not admitted after boost")
 	}
 	boost.Cancel()

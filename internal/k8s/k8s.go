@@ -55,7 +55,6 @@ func (p PodPhase) String() string {
 // (the paper's services are single-container applications, §6.2).
 type PodSpec struct {
 	Name    string
-	Labels  map[string]string
 	QoS     cgroup.QoSClass
 	Request res.Vector // scheduler reservation
 	Limit   res.Vector // cgroup limit

@@ -95,11 +95,11 @@ func TestKubeletLifecycle(t *testing.T) {
 	if kl.Node().Free() != res.V(3000, 7168, 0) {
 		t.Fatalf("free = %v", kl.Node().Free())
 	}
-	s.RunFor(kl.StartLatency - time.Millisecond)
+	s.RunUntil(s.Now() + kl.StartLatency - time.Millisecond)
 	if p.Phase != PodCreating || ran {
 		t.Fatal("pod running before start latency elapsed")
 	}
-	s.RunFor(2 * time.Millisecond)
+	s.RunUntil(s.Now() + 2*time.Millisecond)
 	if p.Phase != PodRunning || !ran {
 		t.Fatalf("phase = %v after start latency", p.Phase)
 	}
@@ -120,7 +120,7 @@ func TestKubeletLifecycle(t *testing.T) {
 	if p.Phase != PodTerminating {
 		t.Fatalf("phase = %v after StopPod", p.Phase)
 	}
-	s.RunFor(kl.StopLatency + time.Millisecond)
+	s.RunUntil(s.Now() + kl.StopLatency + time.Millisecond)
 	if p.Phase != PodTerminated {
 		t.Fatalf("phase = %v", p.Phase)
 	}
@@ -170,7 +170,7 @@ func TestNativeVPADowntimeAndRestart(t *testing.T) {
 	if err := kl.RunPod(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(kl.StartLatency + time.Millisecond)
+	s.RunUntil(s.Now() + kl.StartLatency + time.Millisecond)
 	if p.Phase != PodRunning {
 		t.Fatal("setup: pod not running")
 	}

@@ -60,10 +60,6 @@ func (w *Window) evict(now time.Duration) {
 	}
 }
 
-// Len returns the number of samples currently in the window (as of the
-// last Observe).
-func (w *Window) Len() int { return len(w.samples) }
-
 // Percentile returns the p-th percentile (0 < p <= 100) of the samples in
 // the window using nearest-rank, and false if the window is empty.
 func (w *Window) Percentile(p float64) (float64, bool) {
@@ -109,18 +105,6 @@ func SortedPercentile(sorted []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// Mean returns the average of the samples, and false if empty.
-func (w *Window) Mean() (float64, bool) {
-	if len(w.samples) == 0 {
-		return 0, false
-	}
-	sum := 0.0
-	for _, s := range w.samples {
-		sum += s.v
-	}
-	return sum / float64(len(w.samples)), true
-}
-
 // QoSCounter tracks the QoS-guarantee satisfaction rate φ of Eq. 1:
 // completed LC requests meeting their tail-latency target over all
 // arrived LC requests.
@@ -137,14 +121,6 @@ func (q *QoSCounter) Rate() float64 {
 		return 1
 	}
 	return float64(q.Satisfied) / float64(q.Arrived)
-}
-
-// Add merges another counter into q.
-func (q *QoSCounter) Add(o QoSCounter) {
-	q.Arrived += o.Arrived
-	q.Completed += o.Completed
-	q.Satisfied += o.Satisfied
-	q.Abandoned += o.Abandoned
 }
 
 // Series is a period-indexed time series (one value per 800 ms collection
@@ -167,26 +143,6 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.Values))
-}
-
-// Normalize returns a copy scaled so the maximum is 1 (no-op for empty or
-// all-zero series). Paper figures plot normalized values.
-func (s *Series) Normalize() *Series {
-	out := &Series{Name: s.Name, Values: make([]float64, len(s.Values))}
-	max := 0.0
-	for _, v := range s.Values {
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		copy(out.Values, s.Values)
-		return out
-	}
-	for i, v := range s.Values {
-		out.Values[i] = v / max
-	}
-	return out
 }
 
 // Sum returns the series total.

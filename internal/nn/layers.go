@@ -139,34 +139,6 @@ func (r *ReLU) Backward(dOut *Mat) *Mat {
 // Params returns nil (no trainables).
 func (r *ReLU) Params() []*Param { return nil }
 
-// Tanh activation (used by the SAC baseline's squashing).
-type Tanh struct {
-	y *Mat
-}
-
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *Mat) *Mat {
-	out := x.Clone()
-	for i, v := range out.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	t.y = out
-	return out
-}
-
-// Backward multiplies by 1 - y².
-func (t *Tanh) Backward(dOut *Mat) *Mat {
-	out := dOut.Clone()
-	for i := range out.Data {
-		y := t.y.Data[i]
-		out.Data[i] *= 1 - y*y
-	}
-	return out
-}
-
-// Params returns nil.
-func (t *Tanh) Params() []*Param { return nil }
-
 // MLP is a feed-forward stack: Dense→ReLU repeated, final Dense linear.
 // The paper's actor and critic are MLPs with hidden sizes 256/128/32.
 // Forward and Backward results are owned by the stack's outermost
@@ -224,13 +196,6 @@ func (m *MLP) Backward(dOut *Mat) *Mat {
 // Params returns all trainables, in layer order. The slice is shared:
 // callers may append to it but must not assign its elements.
 func (m *MLP) Params() []*Param { return m.params }
-
-// ZeroGrad clears all parameter gradients.
-func (m *MLP) ZeroGrad() {
-	for _, p := range m.params {
-		p.ZeroGrad()
-	}
-}
 
 // Adam is the Adam optimizer with the paper's defaults
 // (lr 2e-4, β1 0.9, β2 0.999, ε 1e-8).

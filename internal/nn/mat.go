@@ -2,7 +2,7 @@
 // learning components of Tango (DCG-BE's GraphSAGE encoder and A2C
 // actor/critic, plus the GNN-SAC and GCN/GAT ablation baselines). It
 // provides dense matrices, fully-connected layers with manual
-// backpropagation, ReLU/Tanh activations, row-wise softmax with action
+// backpropagation, ReLU activations, row-wise softmax with action
 // masking, Xavier initialization and the Adam optimizer with the paper's
 // hyperparameters (lr = 2e-4).
 package nn
@@ -356,19 +356,6 @@ func MeanRowsInto(out, m *Mat) *Mat {
 	inv := 1.0 / float64(m.R)
 	for j := range out.Data {
 		out.Data[j] *= inv
-	}
-	return out
-}
-
-// ConcatCols returns [a | b] column-wise (same row count).
-func ConcatCols(a, b *Mat) *Mat {
-	if a.R != b.R {
-		panic("nn: ConcatCols row mismatch")
-	}
-	out := NewMat(a.R, a.C+b.C)
-	for i := 0; i < a.R; i++ {
-		copy(out.Row(i)[:a.C], a.Row(i))
-		copy(out.Row(i)[a.C:], b.Row(i))
 	}
 	return out
 }

@@ -75,7 +75,6 @@ func TestShapePanics(t *testing.T) {
 		"newmat":   func() { NewMat(0, 1) },
 		"matmul":   func() { MatMul(NewMat(2, 3), NewMat(2, 3)) },
 		"add":      func() { AddInPlace(NewMat(1, 2), NewMat(2, 1)) },
-		"concat":   func() { ConcatCols(NewMat(1, 2), NewMat(2, 2)) },
 		"mlp tiny": func() { NewMLP(rand.New(rand.NewSource(1)), 4) },
 	} {
 		func() {
@@ -94,15 +93,6 @@ func TestMeanRows(t *testing.T) {
 	mean := MeanRows(m)
 	if mean.At(0, 0) != 2 || mean.At(0, 1) != 4 {
 		t.Fatalf("MeanRows = %v", mean.Data)
-	}
-}
-
-func TestConcatCols(t *testing.T) {
-	a := FromSlice(2, 1, []float64{1, 2})
-	b := FromSlice(2, 2, []float64{3, 4, 5, 6})
-	c := ConcatCols(a, b)
-	if c.C != 3 || c.At(0, 0) != 1 || c.At(0, 2) != 4 || c.At(1, 1) != 5 {
-		t.Fatalf("ConcatCols = %v", c.Data)
 	}
 }
 
@@ -188,7 +178,9 @@ func TestGradCheckMLP(t *testing.T) {
 		return s
 	}
 	// Analytic gradients.
-	m.ZeroGrad()
+	for _, p := range m.Params() {
+		p.ZeroGrad()
+	}
 	y := m.Forward(x)
 	dOut := NewMat(y.R, y.C)
 	for i := range y.Data {
@@ -202,36 +194,6 @@ func TestGradCheckMLP(t *testing.T) {
 			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
 				t.Fatalf("%s[%d]: grad %g, numerical %g", p.Name, i, got, want)
 			}
-		}
-	}
-}
-
-// TestGradCheckTanh verifies the Tanh layer's backward pass.
-func TestGradCheckTanh(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := NewDense(2, 3, rng)
-	tanh := &Tanh{}
-	x := FromSlice(1, 2, []float64{0.3, -0.7})
-	loss := func() float64 {
-		y := tanh.Forward(d.Forward(x))
-		s := 0.0
-		for _, v := range y.Data {
-			s += v * v
-		}
-		return s
-	}
-	d.W.Grad.Zero()
-	d.B.Grad.Zero()
-	y := tanh.Forward(d.Forward(x))
-	dOut := NewMat(1, 3)
-	for i, v := range y.Data {
-		dOut.Data[i] = 2 * v
-	}
-	d.Backward(tanh.Backward(dOut))
-	for i := range d.W.Val.Data {
-		want := numericalGrad(loss, d.W.Val.Data, i)
-		if math.Abs(d.W.Grad.Data[i]-want) > 1e-5*(1+math.Abs(want)) {
-			t.Fatalf("tanh grad check failed at %d: %g vs %g", i, d.W.Grad.Data[i], want)
 		}
 	}
 }
@@ -252,7 +214,9 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 			x.Set(i, 1, b)
 			target.Set(i, 0, 2*a-b)
 		}
-		m.ZeroGrad()
+		for _, p := range m.Params() {
+			p.ZeroGrad()
+		}
 		y := m.Forward(x)
 		lossV := 0.0
 		dOut := NewMat(16, 1)

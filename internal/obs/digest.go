@@ -36,25 +36,16 @@ type DigestSink struct {
 	scratch []byte
 	records uint64
 
-	next     Sink
-	nextSpan SpanSink
-	nextDec  DecisionSink
+	next Sink
 }
 
-// NewDigestSink builds a digesting sink. next may be nil; when non-nil
-// every record is forwarded to it after hashing, with span/decision
-// capabilities resolved once here (same discipline as the Tracer).
+// NewDigestSink builds a digesting sink that forwards every record to
+// next after hashing it. A nil next falls back to NullSink.
 func NewDigestSink(next Sink) *DigestSink {
-	s := &DigestSink{h: sha256.New(), scratch: make([]byte, 0, 256), next: next}
-	if next != nil {
-		if ss, ok := next.(SpanSink); ok {
-			s.nextSpan = ss
-		}
-		if ds, ok := next.(DecisionSink); ok {
-			s.nextDec = ds
-		}
+	if next == nil {
+		next = NullSink{}
 	}
-	return s
+	return &DigestSink{h: sha256.New(), scratch: make([]byte, 0, 256), next: next}
 }
 
 func (s *DigestSink) hashLine() {
@@ -67,27 +58,21 @@ func (s *DigestSink) hashLine() {
 func (s *DigestSink) Record(ev Event) {
 	s.scratch = AppendJSON(s.scratch[:0], ev)
 	s.hashLine()
-	if s.next != nil {
-		s.next.Record(ev)
-	}
+	s.next.Record(ev)
 }
 
-// RecordSpan implements SpanSink.
+// RecordSpan implements Sink.
 func (s *DigestSink) RecordSpan(sp Span) {
 	s.scratch = AppendSpanJSON(s.scratch[:0], sp)
 	s.hashLine()
-	if s.nextSpan != nil {
-		s.nextSpan.RecordSpan(sp)
-	}
+	s.next.RecordSpan(sp)
 }
 
-// RecordDecision implements DecisionSink.
+// RecordDecision implements Sink.
 func (s *DigestSink) RecordDecision(d Decision) {
 	s.scratch = AppendDecisionJSON(s.scratch[:0], d)
 	s.hashLine()
-	if s.nextDec != nil {
-		s.nextDec.RecordDecision(d)
-	}
+	s.next.RecordDecision(d)
 }
 
 // Records returns how many records (events + spans + decisions) were

@@ -43,23 +43,23 @@ func TestDigestSinkDeterministicAndOrderSensitive(t *testing.T) {
 	}
 }
 
-// eventOnlySink has the base capability only, to prove the digest sink
-// tolerates forwarding targets without span/decision support.
-type eventOnlySink struct{ n int }
-
-func (s *eventOnlySink) Record(Event) { s.n++ }
-
 func TestDigestSinkForwards(t *testing.T) {
-	eo := &eventOnlySink{}
-	s := NewDigestSink(eo)
+	ring := NewRingSink(4)
+	s := NewDigestSink(ring)
 	feedDigest(s)
-	if eo.n != 1 {
-		t.Fatalf("forwarded events = %d, want 1", eo.n)
-	}
 	if s.Records() != 3 {
 		t.Fatalf("records = %d, want 3", s.Records())
 	}
-	// A writer sink has all three capabilities: every record forwards.
+	if ev := ring.Events(); len(ev) != 1 || ev[0] != digestEvent() {
+		t.Fatalf("forwarded events = %+v, want the one fed", ev)
+	}
+	if sp := ring.Spans(); len(sp) != 1 || sp[0].ID != 7 {
+		t.Fatalf("forwarded spans = %+v, want span 7", sp)
+	}
+	if d := ring.Decisions(); len(d) != 1 || d[0].Routed != 4 {
+		t.Fatalf("forwarded decisions = %+v, want the one fed", d)
+	}
+	// Forwarded as NDJSON: one line per record.
 	var sb strings.Builder
 	ws := NewWriterSink(&sb)
 	s2 := NewDigestSink(ws)

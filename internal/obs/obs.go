@@ -90,15 +90,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Kinds lists every event kind in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, kindCount)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Event is one trace record. Identifier fields use -1 for "not
 // applicable"; build events with Ev so the sentinels are set, then chain
 // the value-receiver setters. The struct is plain data and is passed by
@@ -153,11 +144,13 @@ func (e *Event) Au(v int64) *Event { e.Aux = v; return e }
 // only pre-existing strings (no formatting) to stay allocation-free.
 func (e *Event) Note(s string) *Event { e.Detail = s; return e }
 
-// Sink receives every emitted event. Implementations must not retain
-// pointers into the event (it is a value) and are called synchronously
-// from the simulation loop.
+// Sink receives every emitted event, span and decision audit record.
+// Implementations must not retain pointers into a record (each is a
+// value) and are called synchronously from the simulation loop.
 type Sink interface {
 	Record(Event)
+	RecordSpan(Span)
+	RecordDecision(Decision)
 }
 
 // NullSink discards every event. Recording through it is allocation-free,
@@ -358,11 +351,7 @@ type Tracer struct {
 	seq    uint64
 	counts [kindCount]uint64
 
-	// Span/decision support (span.go). The sink's capabilities are
-	// resolved once here so EmitSpan/EmitDecision cost a nil check, not
-	// a per-call type assertion.
-	spanSink  SpanSink
-	decSink   DecisionSink
+	// Span/decision support (span.go).
 	spanSeq   uint64
 	decSeq    int64
 	spans     uint64
@@ -398,14 +387,7 @@ func NewTracer(now func() time.Duration, sink Sink) *Tracer {
 	if sink == nil {
 		sink = NullSink{}
 	}
-	t := &Tracer{now: now, sink: sink}
-	if ss, ok := sink.(SpanSink); ok {
-		t.spanSink = ss
-	}
-	if ds, ok := sink.(DecisionSink); ok {
-		t.decSink = ds
-	}
-	return t
+	return &Tracer{now: now, sink: sink}
 }
 
 // SetTag stamps every subsequent event with tag (used when multiple
@@ -431,14 +413,6 @@ func (t *Tracer) Emit(ev *Event) {
 		t.counts[ev.Kind]++
 	}
 	t.sink.Record(*ev)
-}
-
-// Count returns how many events of kind k were emitted.
-func (t *Tracer) Count(k Kind) uint64 {
-	if t == nil || int(k) >= len(t.counts) {
-		return 0
-	}
-	return t.counts[k]
 }
 
 // Emitted returns the total number of emitted events.

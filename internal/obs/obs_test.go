@@ -15,7 +15,7 @@ func fixedClock(at time.Duration) func() time.Duration {
 
 func TestKindNamesComplete(t *testing.T) {
 	seen := map[string]bool{}
-	for _, k := range Kinds() {
+	for k := Kind(0); k < kindCount; k++ {
 		n := k.String()
 		if n == "" || n == "unknown" {
 			t.Fatalf("kind %d has no name", k)
@@ -120,8 +120,8 @@ func TestTracerCountsAndTag(t *testing.T) {
 	tr.Emit(Ev(EvStart))
 	tr.Emit(Ev(EvStart))
 	tr.Emit(Ev(EvFinish))
-	if tr.Count(EvStart) != 2 || tr.Count(EvFinish) != 1 || tr.Emitted() != 3 {
-		t.Fatalf("counts wrong: %v", tr.Counts())
+	if tr.Emitted() != 3 {
+		t.Fatalf("emitted = %d, want 3", tr.Emitted())
 	}
 	c := tr.Counts()
 	if c["start"] != 2 || c["finish"] != 1 || len(c) != 2 {
@@ -139,7 +139,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer enabled")
 	}
 	tr.Emit(Ev(EvStart)) // must not panic
-	if tr.Count(EvStart) != 0 || tr.Emitted() != 0 || tr.Counts() != nil {
+	if tr.Emitted() != 0 || tr.Counts() != nil {
 		t.Fatal("nil tracer accumulated state")
 	}
 }
@@ -147,7 +147,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestNilSinkFallsBackToNull(t *testing.T) {
 	tr := NewTracer(fixedClock(0), nil)
 	tr.Emit(Ev(EvStart))
-	if tr.Count(EvStart) != 1 {
+	if tr.Counts()[EvStart.String()] != 1 {
 		t.Fatal("counting broken with nil sink")
 	}
 }

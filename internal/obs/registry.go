@@ -80,16 +80,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the value by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -135,35 +125,11 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // NaNs returns how many NaN observations were dropped.
 func (h *Histogram) NaNs() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.nans
-}
-
-// Mean returns sum/count (NaN when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return h.sum / float64(h.n)
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear

@@ -65,9 +65,6 @@ type Span struct {
 	Detail   string // e.g. "abandoned", "displaced", cgroup path
 }
 
-// Duration returns End-Start.
-func (s *Span) Duration() time.Duration { return s.End - s.Start }
-
 // Sp returns a Span over [start, end] with all identifiers set to their
 // sentinels. Like Ev, the builder mutates in place and the span never
 // escapes (EmitSpan copies it into the sink), so the chain compiles to
@@ -148,26 +145,13 @@ type Decision struct {
 	Candidates []Candidate   `json:"cands,omitempty"`
 }
 
-// SpanSink receives emitted spans; DecisionSink receives decision audit
-// records. Every Sink shipped by this package implements both, and the
-// Tracer resolves the capability once at construction, so hot-path
-// emission is a nil check plus an interface call.
-type SpanSink interface {
-	RecordSpan(Span)
-}
-
-// DecisionSink receives scheduling-decision audit records.
-type DecisionSink interface {
-	RecordDecision(Decision)
-}
-
-// RecordSpan implements SpanSink.
+// RecordSpan implements Sink.
 func (NullSink) RecordSpan(Span) {}
 
-// RecordDecision implements DecisionSink.
+// RecordDecision implements Sink.
 func (NullSink) RecordDecision(Decision) {}
 
-// RecordSpan implements SpanSink: spans share the ring capacity with a
+// RecordSpan implements Sink: spans share the ring capacity with a
 // second ring of their own.
 func (s *RingSink) RecordSpan(sp Span) {
 	if cap(s.spans) == 0 {
@@ -182,7 +166,7 @@ func (s *RingSink) RecordSpan(sp Span) {
 	s.spanTotal++
 }
 
-// RecordDecision implements DecisionSink (kept unbounded: decisions are
+// RecordDecision implements Sink (kept unbounded: decisions are
 // batch-scale, not request-scale).
 func (s *RingSink) RecordDecision(d Decision) { s.decisions = append(s.decisions, d) }
 
@@ -205,14 +189,14 @@ func (s *RingSink) Spans() []Span {
 // Decisions returns every recorded decision in emission order.
 func (s *RingSink) Decisions() []Decision { return s.decisions }
 
-// RecordSpan implements SpanSink: one NDJSON line per span.
+// RecordSpan implements Sink: one NDJSON line per span.
 func (s *WriterSink) RecordSpan(sp Span) {
 	s.scratch = AppendSpanJSON(s.scratch[:0], sp)
 	s.scratch = append(s.scratch, '\n')
 	s.write()
 }
 
-// RecordDecision implements DecisionSink: one NDJSON line per decision.
+// RecordDecision implements Sink: one NDJSON line per decision.
 func (s *WriterSink) RecordDecision(d Decision) {
 	s.scratch = AppendDecisionJSON(s.scratch[:0], d)
 	s.scratch = append(s.scratch, '\n')
@@ -370,9 +354,7 @@ func (t *Tracer) EmitSpan(sp *Span) {
 	}
 	sp.Tag = t.tag
 	t.spans++
-	if t.spanSink != nil {
-		t.spanSink.RecordSpan(*sp)
-	}
+	t.sink.RecordSpan(*sp)
 }
 
 // EmitDecision stamps the decision (ID when unset, virtual time, tag),
@@ -390,9 +372,7 @@ func (t *Tracer) EmitDecision(d *Decision) {
 	d.At = t.now()
 	d.Tag = t.tag
 	t.decisions++
-	if t.decSink != nil {
-		t.decSink.RecordDecision(*d)
-	}
+	t.sink.RecordDecision(*d)
 }
 
 // SpanCount returns the number of emitted spans. Nil-safe.

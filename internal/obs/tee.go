@@ -21,9 +21,7 @@ import (
 // attaches late (e.g. curling /trace/tail after a burst) still sees
 // recent history.
 type TeeSink struct {
-	next     Sink
-	nextSpan SpanSink
-	nextDec  DecisionSink
+	next Sink
 
 	mu      sync.Mutex
 	subs    []*TailSub
@@ -55,12 +53,6 @@ func NewTeeSink(next Sink, backlog int) *TeeSink {
 	if backlog > 0 {
 		s.ring = make([][]byte, backlog)
 	}
-	if ss, ok := next.(SpanSink); ok {
-		s.nextSpan = ss
-	}
-	if ds, ok := next.(DecisionSink); ok {
-		s.nextDec = ds
-	}
 	return s
 }
 
@@ -71,22 +63,18 @@ func (s *TeeSink) Record(ev Event) {
 	s.next.Record(ev)
 }
 
-// RecordSpan implements SpanSink.
+// RecordSpan implements Sink.
 func (s *TeeSink) RecordSpan(sp Span) {
 	s.scratch = AppendSpanJSON(s.scratch[:0], sp)
 	s.fanout()
-	if s.nextSpan != nil {
-		s.nextSpan.RecordSpan(sp)
-	}
+	s.next.RecordSpan(sp)
 }
 
-// RecordDecision implements DecisionSink.
+// RecordDecision implements Sink.
 func (s *TeeSink) RecordDecision(d Decision) {
 	s.scratch = AppendDecisionJSON(s.scratch[:0], d)
 	s.fanout()
-	if s.nextDec != nil {
-		s.nextDec.RecordDecision(d)
-	}
+	s.next.RecordDecision(d)
 }
 
 // fanout copies the scratch line (newline-terminated) into the backlog

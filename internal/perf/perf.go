@@ -229,15 +229,6 @@ func (p *Profiler) Stats(id PhaseID) PhaseStats {
 	return p.stats[id]
 }
 
-// OpenDepth returns how many frames are currently open (0 when
-// balanced); tests use it to assert Enter/Exit discipline.
-func (p *Profiler) OpenDepth() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.stack)
-}
-
 // PhaseSnapshot is one row of Snapshot.
 type PhaseSnapshot struct {
 	Phase string

@@ -17,9 +17,6 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	if got := p.Stats(PhaseSolveMCNF); got != (PhaseStats{}) {
 		t.Fatalf("nil profiler stats = %+v", got)
 	}
-	if p.OpenDepth() != 0 {
-		t.Fatal("nil profiler has open frames")
-	}
 	snap := p.Snapshot()
 	if len(snap) != int(PhaseCount) {
 		t.Fatalf("nil snapshot has %d rows, want %d", len(snap), PhaseCount)
@@ -41,8 +38,8 @@ func TestNestingSelfExcludesChild(t *testing.T) {
 	p.Exit(PhaseSolveMCNF)
 	p.Exit(PhaseEngineDispatch)
 
-	if p.OpenDepth() != 0 {
-		t.Fatalf("open depth %d after balanced Enter/Exit", p.OpenDepth())
+	if len(p.stack) != 0 {
+		t.Fatalf("open depth %d after balanced Enter/Exit", len(p.stack))
 	}
 	disp := p.Stats(PhaseEngineDispatch)
 	mcnf := p.Stats(PhaseSolveMCNF)
@@ -181,7 +178,7 @@ func TestLabelsSmoke(t *testing.T) {
 	if st := p.Stats(PhaseSolveMCNF); st.Calls != 1 {
 		t.Fatalf("labeled run calls = %d, want 1", st.Calls)
 	}
-	if p.OpenDepth() != 0 {
+	if len(p.stack) != 0 {
 		t.Fatal("labels left frames open")
 	}
 }

@@ -16,7 +16,6 @@ const (
 	CPU Kind = iota // millicores
 	Memory
 	Bandwidth
-	numKinds
 )
 
 // Kinds lists every resource dimension in canonical order.
@@ -60,21 +59,6 @@ func (v Vector) Get(k Kind) int64 {
 		return v.BWMbps
 	}
 	panic(fmt.Sprintf("res: unknown kind %d", int(k)))
-}
-
-// Set returns a copy of v with dimension k replaced by amount.
-func (v Vector) Set(k Kind, amount int64) Vector {
-	switch k {
-	case CPU:
-		v.MilliCPU = amount
-	case Memory:
-		v.MemoryMiB = amount
-	case Bandwidth:
-		v.BWMbps = amount
-	default:
-		panic(fmt.Sprintf("res: unknown kind %d", int(k)))
-	}
-	return v
 }
 
 // Add returns v + w.

@@ -10,6 +10,24 @@ import (
 	"repro/internal/trace"
 )
 
+// place dispatches r to worker n the way the schedulers do, runs the
+// clock to its arrival and fails the test unless the engine's
+// accounting holds and the node's in-transit demand is back where it
+// was before the dispatch.
+func place(t testing.TB, e *engine.Engine, r *engine.Request, n topo.NodeID) {
+	t.Helper()
+	s, node := e.Sim(), e.Node(n)
+	before := node.InTransit()
+	e.Dispatch(r, n)
+	s.RunUntil(s.Now() + e.TransitDelay(r.Cluster, n, r.SType.TxKB))
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("after placing request %d on node %d: %v", r.ID, n, err)
+	}
+	if got := node.InTransit(); got != before {
+		t.Fatalf("request %d arrived at node %d with in-transit demand %v, want %v", r.ID, n, got, before)
+	}
+}
+
 func env() (*engine.Engine, *topo.Topology) {
 	s := sim.New()
 	b := topo.NewBuilder()
@@ -54,7 +72,7 @@ func TestLoadGreedyPicksIdlest(t *testing.T) {
 	e, tp := env()
 	w := tp.Cluster(0).Workers
 	// Load worker 0 heavily.
-	e.DispatchLocal(e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), w[0])
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), w[0])
 	lg := LoadGreedy{}
 	id, ok := lg.Pick(lcReq(e, 2, 0), CandidatesLC(e, 0, 0))
 	if !ok || id != w[1] {
@@ -86,7 +104,7 @@ func TestScoringBalancesLoadAndDistance(t *testing.T) {
 	// Saturate the local cluster: scoring should go nearby.
 	for _, w := range tp.Cluster(0).Workers {
 		for i := int64(0); i < 8; i++ {
-			e.DispatchLocal(e.NewRequest(trace.Request{ID: 100 + i, Type: 6, Class: trace.BE, Cluster: 0}), w)
+			place(t, e, e.NewRequest(trace.Request{ID: 100 + i, Type: 6, Class: trace.BE, Cluster: 0}), w)
 		}
 	}
 	id, _ = sc.Pick(lcReq(e, 2, 0), cands)

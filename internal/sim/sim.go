@@ -27,9 +27,6 @@ type Event struct {
 	done      bool // one-shot that has fired
 }
 
-// At returns the virtual time at which the event fires (or fired).
-func (e *Event) At() time.Duration { return e.at }
-
 // Cancel prevents the event from firing again. For a one-shot event that
 // already fired, or an already-cancelled event, Cancel is a no-op and
 // returns false. Cancelling a periodic event from inside its own callback
@@ -47,9 +44,6 @@ func (e *Event) Cancel() bool {
 	e.cancelled = true
 	return true
 }
-
-// Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
 type eventQueue []*Event
 
@@ -84,11 +78,10 @@ func (q *eventQueue) Pop() any {
 // It is not safe for concurrent use; the simulation model is
 // single-threaded by design so results are deterministic.
 type Simulator struct {
-	now     time.Duration
-	seq     uint64
-	queue   eventQueue
-	stopped bool
-	fired   uint64
+	now   time.Duration
+	seq   uint64
+	queue eventQueue
+	fired uint64
 }
 
 // New returns a Simulator with the clock at zero.
@@ -99,9 +92,6 @@ func (s *Simulator) Now() time.Duration { return s.now }
 
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Schedule queues fn to run after delay. A negative delay is treated as
 // zero. The returned Event may be used to cancel the callback.
@@ -147,9 +137,6 @@ func (s *Simulator) Every(period time.Duration, fn func()) *Event {
 	return e
 }
 
-// Stop makes Run return after the current event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Step executes the single earliest pending event and returns true.
 // It returns false when the queue is empty.
 func (s *Simulator) Step() bool {
@@ -173,24 +160,19 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline and then advances
 // the clock to exactly deadline.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {
 		s.now = deadline
 	}
 }
-
-// RunFor advances the simulation by d of virtual time.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }

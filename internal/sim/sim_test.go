@@ -55,8 +55,8 @@ func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
 	e := s.Schedule(time.Millisecond, func() { fired = true })
-	if !e.Pending() {
-		t.Fatal("event should be pending before run")
+	if e.index < 0 {
+		t.Fatal("event should be queued before run")
 	}
 	if !e.Cancel() {
 		t.Fatal("Cancel returned false for pending event")
@@ -169,27 +169,6 @@ func TestSchedulePanicsOnNilFn(t *testing.T) {
 	New().Schedule(time.Second, nil)
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt run: count=%d", count)
-	}
-	s.Run() // resumes
-	if count != 10 {
-		t.Fatalf("resume after Stop: count=%d", count)
-	}
-}
-
 func TestRunUntilDoesNotRunFutureEvents(t *testing.T) {
 	s := New()
 	fired := false
@@ -201,7 +180,7 @@ func TestRunUntilDoesNotRunFutureEvents(t *testing.T) {
 	if s.Now() != 99*time.Millisecond {
 		t.Fatalf("clock = %v", s.Now())
 	}
-	s.RunFor(time.Millisecond)
+	s.RunUntil(100 * time.Millisecond)
 	if !fired {
 		t.Fatal("event at deadline should fire")
 	}
@@ -307,8 +286,8 @@ func TestCancelAfterFired(t *testing.T) {
 	s := New()
 	e := s.Schedule(time.Millisecond, func() {})
 	s.Run()
-	if e.Pending() {
-		t.Fatal("fired event still pending")
+	if e.index >= 0 {
+		t.Fatal("fired event still queued")
 	}
 	if e.Cancel() {
 		t.Fatal("Cancel on an already-fired one-shot returned true")
@@ -348,39 +327,11 @@ func TestEveryCancelFromOwnCallback(t *testing.T) {
 	if runs != 3 {
 		t.Fatalf("periodic event ran %d times after self-cancel at 3", runs)
 	}
-	if e.Pending() {
-		t.Fatal("cancelled periodic event still pending")
+	if e.index >= 0 {
+		t.Fatal("cancelled periodic event still queued")
 	}
 	if e.Cancel() {
 		t.Fatal("Cancel after self-cancel returned true")
-	}
-}
-
-func TestEveryHandlerCallsStop(t *testing.T) {
-	s := New()
-	runs := 0
-	s.Every(10*time.Millisecond, func() {
-		runs++
-		if runs == 2 {
-			s.Stop()
-		}
-	})
-	other := 0
-	s.Schedule(time.Hour, func() { other++ })
-	s.Run()
-	if runs != 2 {
-		t.Fatalf("ticker ran %d times, want 2 (Stop at the second tick)", runs)
-	}
-	if s.Now() != 20*time.Millisecond {
-		t.Fatalf("clock = %v, want 20ms (stopped mid-queue)", s.Now())
-	}
-	if other != 0 {
-		t.Fatal("event after Stop fired")
-	}
-	// The ticker re-armed itself before Stop took effect; resuming the
-	// run picks it back up.
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2 (re-armed ticker + far event)", s.Pending())
 	}
 }
 

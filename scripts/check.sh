@@ -16,9 +16,10 @@ fi
 
 echo "== go vet =="
 go vet ./...
-# perfbench is a separate module over the core API; vet it here so an
-# API change that breaks the benchmark fails before the A/B smoke.
-(cd perfbench && go vet ./...)
+# perfbench is a separate module over the core API; vet it and run its
+# unit tests here so an API change that breaks the benchmark fails
+# before the A/B smoke.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== production free of test oracles =="
 # internal/check holds the reference solvers and differential oracles;
