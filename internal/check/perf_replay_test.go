@@ -105,12 +105,13 @@ func TestPerfReportContents(t *testing.T) {
 	}
 	// All subsystems present.
 	for _, want := range []string{"solve/mcnf", "solve/dijkstra", "engine/dispatch",
-		"engine/admission", "engine/collect"} {
+		"engine/admission", "engine/collect", "be/infer", "be/train"} {
 		if _, ok := phases[want]; !ok {
 			t.Fatalf("perf section missing phase %q", want)
 		}
 	}
-	for _, busy := range []string{"solve/mcnf", "engine/dispatch", "engine/admission", "engine/collect"} {
+	for _, busy := range []string{"solve/mcnf", "engine/dispatch", "engine/admission", "engine/collect",
+		"be/infer", "be/train"} {
 		if phases[busy].Calls == 0 || phases[busy].TotalNs <= 0 {
 			t.Fatalf("phase %q not measured: %+v", busy, phases[busy])
 		}

@@ -146,11 +146,12 @@ type Options struct {
 	Defrag bool
 
 	// Profiler, when non-nil, enables phase profiling: the DSS-LC solve
-	// stages, the dispatcher rounds, admission checks and the collector
-	// tick are timed (wall clock and allocation deltas), the collector
-	// samples Go runtime/metrics into perf_*-prefixed registry gauges,
-	// and the run report gains a "perf" section. All of it is stripped by
-	// obs.ReportDigest, so profiling never perturbs replay digests.
+	// stages, the dispatcher rounds, admission checks, the collector
+	// tick and DCG-BE's inference and training are timed (wall clock and
+	// allocation deltas), the collector samples Go runtime/metrics into
+	// perf_*-prefixed registry gauges, and the run report gains a "perf"
+	// section. All of it is stripped by obs.ReportDigest, so profiling
+	// never perturbs replay digests.
 	Profiler *perf.Profiler
 }
 
@@ -286,10 +287,14 @@ func New(o Options) *System {
 	if o.OnOutcome != nil {
 		s.observers = append(s.observers, o.OnOutcome)
 	}
-	// The DCG-BE state includes the current slack score δ_k (§5.3.1);
-	// feed it from the re-assurer's windows when both are present.
-	if be, ok := s.beSched.(*dcgbe.Scheduler); ok && s.reassurer != nil {
-		be.SlackFn = s.nodeSlack
+	if be, ok := s.beSched.(*dcgbe.Scheduler); ok {
+		be.Prof = o.Profiler
+		// The DCG-BE state includes the current slack score δ_k
+		// (§5.3.1); feed it from the re-assurer's windows when both are
+		// present.
+		if s.reassurer != nil {
+			be.SlackFn = s.nodeSlack
+		}
 	}
 	if o.Chaos != nil {
 		s.masterStall = map[topo.ClusterID]time.Duration{}

@@ -28,6 +28,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gnn"
 	"repro/internal/nn"
+	"repro/internal/perf"
 	"repro/internal/res"
 	"repro/internal/rl"
 	"repro/internal/topo"
@@ -68,6 +69,9 @@ type Scheduler struct {
 	// DisableMasking turns off policy context filtering (ablation
 	// bench): the agent may pick nodes that cannot host the request.
 	DisableMasking bool
+	// Prof, when set, charges Agent.Probs to the be/infer phase and
+	// Agent.Update to be/train (wired by core to Options.Profiler).
+	Prof *perf.Profiler
 
 	// trainEvery is N̂, the number of actions between training
 	// intervals: 32, or 4N on fleets above 32 workers, which train over
@@ -327,7 +331,9 @@ func (s *Scheduler) probsCached(at time.Duration, k cacheKey, x *nn.Mat, mask []
 		s.CacheHits++
 		return e.probs
 	}
+	s.Prof.Enter(perf.PhaseBEInfer)
 	probs := s.Agent.Probs(s.graph, x, mask)
+	s.Prof.Exit(perf.PhaseBEInfer)
 	s.cacheMap[k] = &cacheEntry{probs: probs}
 	return probs
 }
@@ -414,6 +420,8 @@ func (s *Scheduler) train() {
 		batch[i] = p.tr
 	}
 	s.pending = s.pending[:0]
+	s.Prof.Enter(perf.PhaseBETrain)
 	s.Agent.Update(batch)
+	s.Prof.Exit(perf.PhaseBETrain)
 	s.Updates++
 }

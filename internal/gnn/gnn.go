@@ -247,6 +247,9 @@ type GCN struct {
 	ins  []*nn.Mat
 	aggs []*nn.Mat
 	norm []float64 // 1/sqrt(deg+1)
+	// Per-layer kernel results, reused across calls: the pre-activation
+	// ÂHW, the per-call weight gradient and ∂L/∂(ÂH).
+	zs, dws, dAggs []*nn.Mat
 }
 
 // NewGCN builds a GCN with the given layer dims.
@@ -261,6 +264,7 @@ func NewGCN(rng *rand.Rand, dims ...int) *GCN {
 		g.ws = append(g.ws, &nn.Param{Name: fmt.Sprintf("gcn%d.W", i), Val: w, Grad: nn.NewMat(dims[i], dims[i+1])})
 		g.relus = append(g.relus, nn.ReLU{})
 	}
+	g.zs, g.dws, g.dAggs = make([]*nn.Mat, len(g.ws)), make([]*nn.Mat, len(g.ws)), make([]*nn.Mat, len(g.ws))
 	return g
 }
 
@@ -302,7 +306,9 @@ func (g *GCN) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 		g.ins = append(g.ins, h)
 		agg := g.propagate(gr, h)
 		g.aggs = append(g.aggs, agg)
-		h = g.relus[i].Forward(nn.MatMul(agg, g.ws[i].Val))
+		w := g.ws[i].Val
+		g.zs[i] = nn.Reuse(g.zs[i], agg.R, w.C)
+		h = g.relus[i].Forward(nn.MatMulInto(g.zs[i], agg, w))
 	}
 	return h
 }
@@ -313,9 +319,11 @@ func (g *GCN) Backward(dOut *nn.Mat) {
 	d := dOut
 	for li := len(g.ws) - 1; li >= 0; li-- {
 		dz := g.relus[li].Backward(d)
-		nn.AddInPlace(g.ws[li].Grad, nn.MatMulTransA(g.aggs[li], dz))
-		dAgg := nn.MatMulTransB(dz, g.ws[li].Val)
-		d = g.propagate(g.g, dAgg)
+		w := g.ws[li]
+		g.dws[li] = nn.Reuse(g.dws[li], w.Val.R, w.Val.C)
+		nn.AddInPlace(w.Grad, nn.MatMulTransAInto(g.dws[li], g.aggs[li], dz))
+		g.dAggs[li] = nn.Reuse(g.dAggs[li], dz.R, w.Val.R)
+		d = g.propagate(g.g, nn.MatMulTransBInto(g.dAggs[li], dz, w.Val))
 	}
 }
 
@@ -330,6 +338,9 @@ type GAT struct {
 	ins   []*nn.Mat
 	atts  [][][]float64 // per layer, per node: attention over self+neighbours
 	whs   []*nn.Mat     // transformed features per layer
+	// Per-layer kernel results, reused across calls: the per-call weight
+	// gradient and ∂L/∂H.
+	dws, dxs []*nn.Mat
 }
 
 // NewGAT builds a GAT with the given layer dims.
@@ -347,6 +358,7 @@ func NewGAT(rng *rand.Rand, dims ...int) *GAT {
 		g.as = append(g.as, &nn.Param{Name: fmt.Sprintf("gat%d.a", i), Val: a, Grad: nn.NewMat(1, 2*dims[i+1])})
 		g.relus = append(g.relus, nn.ReLU{})
 	}
+	g.whs, g.dws, g.dxs = make([]*nn.Mat, len(g.ws)), make([]*nn.Mat, len(g.ws)), make([]*nn.Mat, len(g.ws))
 	return g
 }
 
@@ -374,12 +386,12 @@ func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 	g.g = gr
 	g.ins = g.ins[:0]
 	g.atts = g.atts[:0]
-	g.whs = g.whs[:0]
 	h := x
 	for li := range g.ws {
 		g.ins = append(g.ins, h)
-		wh := nn.MatMul(h, g.ws[li].Val)
-		g.whs = append(g.whs, wh)
+		w := g.ws[li].Val
+		g.whs[li] = nn.Reuse(g.whs[li], h.R, w.C)
+		wh := nn.MatMulInto(g.whs[li], h, w)
 		out := nn.NewMat(gr.N, wh.C)
 		att := make([][]float64, gr.N)
 		avec := g.as[li].Val.Data
@@ -431,8 +443,11 @@ func (g *GAT) Backward(dOut *nn.Mat) {
 				}
 			}
 		}
-		nn.AddInPlace(g.ws[li].Grad, nn.MatMulTransA(g.ins[li], dWH))
-		d = nn.MatMulTransB(dWH, g.ws[li].Val)
+		w := g.ws[li]
+		g.dws[li] = nn.Reuse(g.dws[li], w.Val.R, w.Val.C)
+		nn.AddInPlace(w.Grad, nn.MatMulTransAInto(g.dws[li], g.ins[li], dWH))
+		g.dxs[li] = nn.Reuse(g.dxs[li], dWH.R, w.Val.R)
+		d = nn.MatMulTransBInto(g.dxs[li], dWH, w.Val)
 	}
 }
 

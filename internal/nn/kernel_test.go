@@ -1,8 +1,13 @@
 package nn
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -103,20 +108,137 @@ func TestIntoKernelsMatchReferenceBitwise(t *testing.T) {
 		ra, rb := rng.Intn(4), rng.Intn(4)
 
 		a, b := oracleMat(rng, n, k, ra), oracleMat(rng, k, m, rb)
-		assertSameMat(t, "MatMulInto", MatMulInto(dirty(n, m), a, b), MatMul(a, b))
+		assertSameMat(t, "MatMulInto", MatMulInto(dirty(n, m), a, b), matMul(a, b))
 
 		at, bt := oracleMat(rng, k, n, ra), oracleMat(rng, k, m, rb)
-		assertSameMat(t, "MatMulTransAInto", MatMulTransAInto(dirty(n, m), at, bt), MatMulTransA(at, bt))
+		assertSameMat(t, "MatMulTransAInto", MatMulTransAInto(dirty(n, m), at, bt), matMulTransA(at, bt))
 
 		bb := oracleMat(rng, m, k, rb)
-		assertSameMat(t, "MatMulTransBInto", MatMulTransBInto(dirty(n, m), a, bb), MatMulTransB(a, bb))
+		assertSameMat(t, "MatMulTransBInto", MatMulTransBInto(dirty(n, m), a, bb), matMulTransB(a, bb))
 
 		// The gated kernel against MatMulTransB followed by ReLU.Backward.
 		var r ReLU
 		r.Forward(oracleMat(rng, n, m, 0))
-		want := r.Backward(MatMulTransB(a, bb))
+		want := r.Backward(matMulTransB(a, bb))
 		got := matMulTransBMasked(dirty(n, m), a, bb, r.mask)
 		assertSameMat(t, "matMulTransBMasked", got, want)
+	}
+}
+
+// oracleVec is n values drawn like oracleMat's (n may be 0).
+func oracleVec(rng *rand.Rand, n, regime int) []float64 {
+	if n == 0 {
+		return nil
+	}
+	return oracleMat(rng, 1, n, regime).Data
+}
+
+// assertAccumRowMatchesGeneric runs accumRow and accumRowGeneric on
+// copies of orow and fails unless every column agrees bit for bit.
+func assertAccumRowMatchesGeneric(t *testing.T, orow []float64, off []int, val, bd []float64, first bool) {
+	t.Helper()
+	got, want := slices.Clone(orow), slices.Clone(orow)
+	accumRow(got, off, val, bd, first)
+	accumRowGeneric(want, off, val, bd, first)
+	for j := range want {
+		if !sameBits(got[j], want[j]) {
+			t.Fatalf("%d columns, %d terms, first=%v: [%d] = %v (%#x), want %v (%#x)",
+				len(orow), len(off), first, j, got[j], math.Float64bits(got[j]),
+				want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestAccumRowMatchesGeneric compares accumRow, which takes the AVX2
+// kernel for whole 16-column blocks where the CPU has it, with the Go
+// loops on every column count up to 80 (blocks, partial blocks and
+// tails), term counts from 0 to past nzChunk, both starting modes and
+// every oracleMat regime, at unaligned offsets into bd.
+func TestAccumRowMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for cols := 0; cols <= 80; cols++ {
+		for _, terms := range []int{0, 1, 2, 3, 7, 16, 33, nzChunk, nzChunk + 9} {
+			for _, first := range []bool{true, false} {
+				for regime := 0; regime < 4; regime++ {
+					bd := oracleVec(rng, cols+2*terms+rng.Intn(5), regime)
+					off := make([]int, terms)
+					for i := range off {
+						off[i] = rng.Intn(len(bd) - cols + 1)
+					}
+					val := oracleVec(rng, terms, regime)
+					assertAccumRowMatchesGeneric(t, oracleVec(rng, cols, regime), off, val, bd, first)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAccumRow is TestAccumRowMatchesGeneric over fuzzed bit patterns:
+// data, read as big-endian 8-byte words (cycling), supplies bd, the
+// offsets, val and orow, so subnormals, ±0, ±Inf, NaN and overflow all
+// occur.
+func FuzzAccumRow(f *testing.F) {
+	seed := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint8(16), uint16(3), true, seed(1.5, -2, 0.25, 3))
+	f.Add(uint8(33), uint16(17), false, seed(math.Copysign(0, -1), 1e-310, -7.5, 0))
+	f.Add(uint8(47), uint16(nzChunk+1), false, seed(math.Inf(1), 0, math.NaN(), -1, 2))
+	f.Fuzz(func(t *testing.T, cols uint8, terms uint16, first bool, data []byte) {
+		c, n := int(cols)%81, int(terms)%(nzChunk+40)
+		word := func(i int) uint64 {
+			var w uint64
+			for k := 0; k < 8 && len(data) > 0; k++ {
+				w = w<<8 | uint64(data[(8*i+k)%len(data)])
+			}
+			return w
+		}
+		bd := make([]float64, c+2*n+1)
+		for i := range bd {
+			bd[i] = math.Float64frombits(word(i))
+		}
+		off, val := make([]int, n), make([]float64, n)
+		for i := range off {
+			off[i] = int(word(len(bd)+i) % uint64(len(bd)-c+1))
+			val[i] = math.Float64frombits(word(len(bd) + n + i))
+		}
+		orow := make([]float64, c)
+		for i := range orow {
+			orow[i] = math.Float64frombits(word(len(bd) + 2*n + i))
+		}
+		assertAccumRowMatchesGeneric(t, orow, off, val, bd, first)
+	})
+}
+
+// TestAVX2KernelSelected fails when the kernel's CPU detection disagrees
+// with the operating system's report: on amd64 Linux, accumRow must take
+// the AVX2 path exactly when /proc/cpuinfo lists the avx2 flag, so a
+// detection bug cannot silently keep the fast path off (or turn it on
+// where it would fault).
+func TestAVX2KernelSelected(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		if useAVX2 {
+			t.Fatalf("useAVX2 set on %s", runtime.GOARCH)
+		}
+		t.Skipf("no AVX2 kernel on %s", runtime.GOARCH)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("cannot read the CPU flags: %v", err)
+	}
+	want := false
+	for _, line := range strings.Split(string(info), "\n") {
+		if strings.HasPrefix(line, "flags") {
+			want = slices.Contains(strings.Fields(line), "avx2")
+			break
+		}
+	}
+	if useAVX2 != want {
+		t.Fatalf("useAVX2 = %v, but /proc/cpuinfo lists avx2: %v", useAVX2, want)
 	}
 }
 
@@ -181,7 +303,7 @@ func refForward(m *MLP, x *Mat) *Mat {
 	for _, l := range m.layers {
 		switch l := l.(type) {
 		case *Dense:
-			y := MatMul(x, l.W.Val)
+			y := matMul(x, l.W.Val)
 			for i := 0; i < y.R; i++ {
 				row := y.Row(i)
 				for j, b := range l.B.Val.Data {

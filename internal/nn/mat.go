@@ -5,6 +5,15 @@
 // backpropagation, ReLU activations, row-wise softmax with action
 // masking, Xavier initialization and the Adam optimizer with the paper's
 // hyperparameters (lr = 2e-4).
+//
+// The product kernels (MatMulInto, MatMulTransAInto, MatMulTransBInto)
+// write into caller-owned matrices and compute every output element as
+// the plain left-to-right sum of products, each product rounded before
+// it is added. On amd64 CPUs with AVX2, detected once at package
+// initialization, the row kernel behind MatMulInto and MatMulTransAInto
+// runs 16 output columns at a time in assembly with the same operations
+// in the same order (multiply, then add; never a fused multiply-add),
+// so its results are bit-identical to the Go loops that run elsewhere.
 package nn
 
 import (
@@ -58,72 +67,6 @@ func (m *Mat) Zero() {
 	}
 }
 
-// MatMul returns a × b. It allocates its result; the hot paths use
-// MatMulInto, and MatMul stays as the reference the Into kernels are
-// tested against bit for bit.
-func MatMul(a, b *Mat) *Mat {
-	if a.C != b.R {
-		panic(fmt.Sprintf("nn: matmul %dx%d by %dx%d", a.R, a.C, b.R, b.C))
-	}
-	out := NewMat(a.R, b.C)
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransA returns aᵀ × b (allocating reference for MatMulTransAInto).
-func MatMulTransA(a, b *Mat) *Mat {
-	if a.R != b.R {
-		panic(fmt.Sprintf("nn: matmulTA %dx%d by %dx%d", a.R, a.C, b.R, b.C))
-	}
-	out := NewMat(a.C, b.C)
-	for k := 0; k < a.R; k++ {
-		arow, brow := a.Row(k), b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransB returns a × bᵀ (allocating reference for MatMulTransBInto).
-func MatMulTransB(a, b *Mat) *Mat {
-	if a.C != b.C {
-		panic(fmt.Sprintf("nn: matmulTB %dx%d by %dx%d", a.R, a.C, b.R, b.C))
-	}
-	out := NewMat(a.R, b.R)
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.R; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
-	return out
-}
-
 // tbRow returns row j of a row-major matrix with kc columns, sliced to
 // exactly kc values so indexing by a kc-long row's positions needs no
 // bounds check.
@@ -151,14 +94,15 @@ func checkInto(op string, out *Mat, r, c int, a, b *Mat) {
 // output row; longer rows are processed in chunks.
 const nzChunk = 256
 
-// The Into kernels below compute every output element as the same
-// left-to-right sum as their allocating references: starting from +0,
-// k ascending, and — for MatMul and MatMulTransA — with the terms whose
-// a-value is exactly zero left out. They only reorder the loops around
-// that sum, gathering the non-zero a-values of an output row once and
-// keeping the partial sums of a few adjacent outputs in registers, so
-// their results are bit-identical to MatMul, MatMulTransA and
-// MatMulTransB for every input, NaN and ±Inf included.
+// The Into kernels below compute every output element as the textbook
+// left-to-right sum: starting from +0, k ascending, each term a product
+// rounded before it is added, and — for MatMulInto and MatMulTransAInto
+// — with the terms whose a-value is exactly zero left out. They only
+// reorder the loops around that sum, gathering the non-zero a-values of
+// an output row once and keeping the partial sums of adjacent outputs
+// in registers or vector lanes, so their results are bit-identical to
+// the plain triple loops (the package tests keep those as references)
+// for every input, NaN and ±Inf included.
 
 // MatMulInto writes a × b into out, which must be a.R×b.C and must not
 // alias a or b, and returns out.
@@ -221,7 +165,33 @@ func MatMulTransAInto(out, a, b *Mat) *Mat {
 
 // accumRow sets every orow[j] to s + Σ_t val[t]·bd[off[t]+j], summed t
 // ascending, where s is +0 when first is set and orow[j] otherwise.
+// Where the CPU has AVX2, whole 16-column blocks go to the vector
+// kernel accum16, which computes each column's sum with the same
+// operations in the same order as accumRowGeneric, four columns to a
+// register; the remaining columns stay on accumRowGeneric.
 func accumRow(orow []float64, off []int, val []float64, bd []float64, first bool) {
+	if blk := len(orow) &^ 15; useAVX2 && blk > 0 && len(off) > 0 {
+		// accum16 reads bd[off[t] : off[t]+blk] unchecked; fail the way
+		// the Go loops would instead of reading outside bd.
+		lim := len(bd) - len(orow)
+		for _, o := range off {
+			if o < 0 || o > lim {
+				panic(fmt.Sprintf("nn: accumRow offset %d outside %d values for %d columns", o, len(bd), len(orow)))
+			}
+		}
+		accum16(orow[:blk], bd, off, val[:len(off)], first)
+		if blk == len(orow) {
+			return
+		}
+		orow, bd = orow[blk:], bd[blk:]
+	}
+	accumRowGeneric(orow, off, val, bd, first)
+}
+
+// accumRowGeneric is accumRow in plain Go: the path on CPUs without
+// AVX2, for the columns past the last 16-column block, and the
+// reference the vector kernel is tested against.
+func accumRowGeneric(orow []float64, off []int, val []float64, bd []float64, first bool) {
 	val = val[:len(off)]
 	j := 0
 	for ; j+8 <= len(orow); j += 8 {
@@ -336,9 +306,6 @@ func AddInPlace(a, b *Mat) {
 		a.Data[i] += b.Data[i]
 	}
 }
-
-// MeanRows returns the 1×C mean of the rows of m.
-func MeanRows(m *Mat) *Mat { return MeanRowsInto(NewMat(1, m.C), m) }
 
 // MeanRowsInto writes the 1×C mean of the rows of m into out and
 // returns it.

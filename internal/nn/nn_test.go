@@ -44,11 +44,11 @@ func TestFromSlice(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := MatMulInto(NewMat(2, 2), a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("MatMulInto = %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -57,15 +57,15 @@ func TestMatMulTranspose(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(2, 2, []float64{1, 0, 0, 1})
 	// aᵀ b where b is identity: result = aᵀ.
-	c := MatMulTransA(a, b)
-	if c.R != 3 || c.C != 2 || c.At(0, 1) != 4 || c.At(2, 0) != 3 {
-		t.Fatalf("MatMulTransA = %+v", c)
+	c := MatMulTransAInto(NewMat(3, 2), a, b)
+	if c.At(0, 1) != 4 || c.At(2, 0) != 3 {
+		t.Fatalf("MatMulTransAInto = %+v", c)
 	}
 	// a bᵀ with identity: a itself.
-	d := MatMulTransB(a, FromSlice(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}))
+	d := MatMulTransBInto(NewMat(2, 3), a, FromSlice(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}))
 	for i := range a.Data {
 		if d.Data[i] != a.Data[i] {
-			t.Fatal("MatMulTransB with identity not identity")
+			t.Fatal("MatMulTransBInto with identity not identity")
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestMatMulTranspose(t *testing.T) {
 func TestShapePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"newmat":   func() { NewMat(0, 1) },
-		"matmul":   func() { MatMul(NewMat(2, 3), NewMat(2, 3)) },
+		"matmul":   func() { MatMulInto(NewMat(2, 3), NewMat(2, 3), NewMat(2, 3)) },
 		"add":      func() { AddInPlace(NewMat(1, 2), NewMat(2, 1)) },
 		"mlp tiny": func() { NewMLP(rand.New(rand.NewSource(1)), 4) },
 	} {
@@ -90,9 +90,9 @@ func TestShapePanics(t *testing.T) {
 
 func TestMeanRows(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 3, 3, 5})
-	mean := MeanRows(m)
+	mean := MeanRowsInto(NewMat(1, 2), m)
 	if mean.At(0, 0) != 2 || mean.At(0, 1) != 4 {
-		t.Fatalf("MeanRows = %v", mean.Data)
+		t.Fatalf("MeanRowsInto = %v", mean.Data)
 	}
 }
 
@@ -315,7 +315,7 @@ func TestQuickSoftmaxDistribution(t *testing.T) {
 	}
 }
 
-// Property: MatMul distributes over addition: (A+B)C = AC + BC.
+// Property: MatMulInto distributes over addition: (A+B)C = AC + BC.
 func TestQuickMatMulLinear(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -334,9 +334,9 @@ func TestQuickMatMulLinear(t *testing.T) {
 		}
 		sum := a.Clone()
 		AddInPlace(sum, b)
-		left := MatMul(sum, cm)
-		right := MatMul(a, cm)
-		AddInPlace(right, MatMul(b, cm))
+		left := MatMulInto(NewMat(r, c), sum, cm)
+		right := MatMulInto(NewMat(r, c), a, cm)
+		AddInPlace(right, MatMulInto(NewMat(r, c), b, cm))
 		for i := range left.Data {
 			if math.Abs(left.Data[i]-right.Data[i]) > 1e-9 {
 				return false

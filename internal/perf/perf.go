@@ -3,8 +3,8 @@
 // and the allocations go while deciding it".
 //
 // The centerpiece is the Profiler, a stack of nestable phase timers over
-// a fixed enum of instrumented phases (the DSS-LC solve stages and the
-// engine loop stages). Each Enter/Exit pair charges wall time and
+// a fixed enum of instrumented phases (the DSS-LC solve stages, the
+// engine loop stages and DCG-BE's inference and training). Each Enter/Exit pair charges wall time and
 // heap-allocation deltas (via runtime/metrics) to the phase; nesting is
 // explicit, so a phase's *self* cost excludes its children while its
 // *total* cost includes them, and re-entrant phases (a phase nested
@@ -47,6 +47,9 @@ const (
 	PhaseEngineDispatch  // one dispatcher round over all LC/BE queues
 	PhaseEngineAdmission // Policy.Admit calls (arrival + drain)
 	PhaseEngineCollect   // the 800 ms collection tick
+	// DCG-BE stages (internal/dcgbe).
+	PhaseBEInfer // Agent.Probs: encoder and actor forward for one BE pick
+	PhaseBETrain // Agent.Update: one training interval
 
 	PhaseCount // sentinel
 )
@@ -59,6 +62,8 @@ var phaseNames = [PhaseCount]string{
 	PhaseEngineDispatch:  "engine/dispatch",
 	PhaseEngineAdmission: "engine/admission",
 	PhaseEngineCollect:   "engine/collect",
+	PhaseBEInfer:         "be/infer",
+	PhaseBETrain:         "be/train",
 }
 
 // String returns the stable phase name (also the pprof label value).

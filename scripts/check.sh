@@ -16,6 +16,10 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# internal/nn has an amd64 assembly kernel and a Go stub for other
+# architectures; vet the learning stack for arm64 so that build keeps
+# compiling.
+GOARCH=arm64 go vet ./internal/nn ./internal/gnn ./internal/rl
 # perfbench is a separate module over the core API; vet it and run its
 # unit tests here so an API change that breaks the benchmark fails
 # before the A/B smoke.
