@@ -364,7 +364,7 @@ type pickLC struct {
 func (p pickLC) ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch)) {
 	s := p.sys
 	for _, b := range batches {
-		cands := sched.CandidatesLC(s.Engine, b.Cluster, topo.GeoRadiusKm)
+		cands := sched.CandidatesLC(s.Engine, b.Cluster)
 		for i, r := range b.Reqs {
 			if nid, ok := p.Pick(r, cands); ok {
 				if id := sched.Audit(s.Tracer, p.Scheduler, r, cands, nid, ok); id >= 0 {

@@ -5,18 +5,25 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/shard"
+	"repro/internal/res"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
-// A caller-supplied DSS-LC keeps its own GeoRadiusKm (footnote 4): core
-// wires its observers but leaves the radius alone. On the testbed every
-// pair of clusters is farther apart than 50 km, so with that radius a
-// hot cluster's overload must stay home: no completed LC request may
-// run outside its arrival cluster.
+// The default DSS-LC honours footnote 4: with every pair of clusters
+// at least 6° (>500 km) apart, no cluster has a geo neighbour, so a hot
+// cluster's overload must stay home: no completed LC request may run
+// outside its arrival cluster.
 func TestGeoRadiusBoundsDefaultDSSLC(t *testing.T) {
-	tp := topo.PhysicalTestbed()
+	b := topo.NewBuilder()
+	workers := make([]res.Vector, 4)
+	for i := range workers {
+		workers[i] = res.V(4000, 8192, 500)
+	}
+	for _, loc := range [][2]float64{{30, 110}, {30, 116}, {36, 110}, {36, 116}} {
+		b.AddCluster(loc[0], loc[1], res.V(8000, 16384, 1000), workers)
+	}
+	tp := b.Build()
 	var cs []topo.ClusterID
 	for _, c := range tp.Clusters {
 		cs = append(cs, c.ID)
@@ -27,11 +34,6 @@ func TestGeoRadiusBoundsDefaultDSSLC(t *testing.T) {
 	gen.ClusterWeights = []float64{6, 1, 1, 1}
 
 	o := Tango(tp, 11)
-	o.MakeLC = func(e *engine.Engine, seed int64) any {
-		sh := shard.New(e, seed, 1, 0)
-		sh.GeoRadiusKm = 50
-		return sh
-	}
 	completed, away := 0, 0
 	o.OnOutcome = func(out engine.Outcome) {
 		if out.Req.Class != trace.LC || !out.Completed {
@@ -49,7 +51,7 @@ func TestGeoRadiusBoundsDefaultDSSLC(t *testing.T) {
 		t.Fatal("no LC request completed")
 	}
 	if away != 0 {
-		t.Fatalf("%d of %d completed LC requests ran outside their cluster with a 50 km radius", away, completed)
+		t.Fatalf("%d of %d completed LC requests ran outside their cluster with no geo neighbour", away, completed)
 	}
 }
 

@@ -187,8 +187,8 @@ func NewVariant(e *engine.Engine, v Variant, seed int64) *Scheduler {
 }
 
 // buildGraph connects workers within a cluster pairwise (LAN) and links
-// clusters within the topo.GeoRadiusKm neighbourhood through their
-// first workers (WAN), giving GraphSAGE a topology that mirrors the
+// each cluster to its topo.Topology.Neighbors through their first
+// workers (WAN), giving GraphSAGE a topology that mirrors the
 // LAN/WAN structure.
 func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]int) *gnn.Graph {
 	var edges [][2]int
@@ -204,10 +204,10 @@ func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]in
 		if len(c.Workers) == 0 {
 			continue
 		}
-		// The clusters within the neighbourhood, in
-		// Topology.NeighborClusters order, each pair once (undirected).
-		for _, other := range t.Clusters {
-			if other.ID <= c.ID || len(other.Workers) == 0 || t.DistanceKm(c.ID, other.ID) > topo.GeoRadiusKm {
+		// Each pair once (undirected): only neighbours with a higher ID.
+		for _, nc := range t.Neighbors(c.ID) {
+			other := t.Cluster(nc)
+			if other.ID <= c.ID || len(other.Workers) == 0 {
 				continue
 			}
 			edges = append(edges, [2]int{index[c.Workers[0]], index[other.Workers[0]]})

@@ -5,7 +5,9 @@
 // paper measures >97 ms RTT to the central cluster, which would consume
 // ~30% of a typical LC budget). For every LC request type k the
 // algorithm builds a Multi-Commodity Network Flow graph over the local
-// and geo-nearby clusters (footnote 4: within 500 km):
+// and geo-nearby clusters (footnote 4: the clusters within 500 km that
+// topo.Topology.Neighbors lists, computed once when the topology is
+// built):
 //
 //   - worker capacity t_i^k = -min(r_ava^c/r^c_k, r_ava^m/r^m_k) (Eq. 2),
 //     where the available resources follow the §4.1 regulations (idle
@@ -58,10 +60,7 @@ import (
 // dispatcher's one LC entry point; one shard is the global DSS-LC.
 type Scheduler struct {
 	Engine *engine.Engine
-	// GeoRadiusKm bounds candidate clusters (footnote 4; New sets
-	// topo.GeoRadiusKm).
-	GeoRadiusKm float64
-	rng         *rand.Rand
+	rng    *rand.Rand
 
 	// Decisions counts batch solves, LastBatch the requests routed in the
 	// most recent one (for the decision-time benchmarks).
@@ -113,29 +112,24 @@ type Scheduler struct {
 	// Pooled hot-path buffers. All are scratch whose contents are dead
 	// between ScheduleBatchInto calls; they grow to the high-water mark
 	// of the run and are never released.
-	candBuf   []*engine.Node
-	grouped   []*engine.Request
-	typeOff   []int32 // per-TypeID counts, then running offsets
-	reserved  []res.Vector
-	demand    []res.Vector
-	caps      []int64
-	totals    []int64
-	scaled    []int64
-	counts    []int64
-	edges     []flow.EdgeID
-	costs     []int64
-	links     []int64
-	fracs     fracSlice
-	neighbors []topo.ClusterID
-	// Single-entry cache for the geo-static neighbor-cluster list.
-	neighborsFor topo.ClusterID
-	neighborsKm  float64
-	neighborsOK  bool
+	candBuf  []*engine.Node
+	grouped  []*engine.Request
+	typeOff  []int32 // per-TypeID counts, then running offsets
+	reserved []res.Vector
+	demand   []res.Vector
+	caps     []int64
+	totals   []int64
+	scaled   []int64
+	counts   []int64
+	edges    []flow.EdgeID
+	costs    []int64
+	links    []int64
+	fracs    fracSlice
 }
 
-// New creates a DSS-LC scheduler with the paper's 500 km geo radius.
+// New creates a DSS-LC scheduler.
 func New(e *engine.Engine, seed int64) *Scheduler {
-	return &Scheduler{Engine: e, GeoRadiusKm: topo.GeoRadiusKm, rng: rand.New(rand.NewSource(seed))}
+	return &Scheduler{Engine: e, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name reports the algorithm name.
@@ -416,7 +410,7 @@ func (s *Scheduler) candidates(c topo.ClusterID) []*engine.Node {
 			out = append(out, n)
 		}
 	}
-	for _, nc := range s.neighborsOf(t, c) {
+	for _, nc := range t.Neighbors(c) {
 		if s.Restrict != nil && !s.Restrict(nc) {
 			continue
 		}
@@ -428,18 +422,6 @@ func (s *Scheduler) candidates(c topo.ClusterID) []*engine.Node {
 	}
 	s.candBuf = out
 	return out
-}
-
-// neighborsOf caches the geo-nearby cluster list: cluster positions are
-// static for the lifetime of a topology, so the list only changes when
-// the scheduler is asked about a different cluster or radius.
-func (s *Scheduler) neighborsOf(t *topo.Topology, c topo.ClusterID) []topo.ClusterID {
-	if s.neighborsOK && s.neighborsFor == c && s.neighborsKm == s.GeoRadiusKm {
-		return s.neighbors
-	}
-	s.neighbors = t.NeighborClustersInto(s.neighbors[:0], c, s.GeoRadiusKm)
-	s.neighborsFor, s.neighborsKm, s.neighborsOK = c, s.GeoRadiusKm, true
-	return s.neighbors
 }
 
 // growInt64s resizes a pooled int64 slice to n, zeroed.

@@ -456,8 +456,9 @@ func DecisionTime(cfg Config, measure func(func()) time.Duration) *Result {
 		}, rand.New(rand.NewSource(cfg.Seed)))
 		s := sim.New()
 		e := engine.New(engine.Config{Sim: s, Topo: tp, Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{}})
+		// The 3° box's diagonal is ~437 km, inside the 500 km radius:
+		// every node is a candidate, the worst case.
 		d := dsslc.New(e, cfg.Seed)
-		d.GeoRadiusKm = 1e9 // every node is a candidate: worst case
 		var batch []*engine.Request
 		for i := 0; i < 100; i++ {
 			batch = append(batch, e.NewRequest(trace.Request{

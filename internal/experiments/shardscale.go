@@ -17,9 +17,10 @@ import (
 
 // ShardRound is one point of the scale suite: it builds the standard
 // large-fleet round — nodes/20 clusters of exactly 20 workers each,
-// 8 LC requests per cluster, unrestricted geo radius so an unsharded
-// solve really sees the whole fleet — and schedules it once, cold,
-// through a K-shard scheduler. It returns the measured round time, the
+// 8 LC requests per cluster, in a 3° box whose ~437 km diagonal lies
+// inside the 500 km geo radius so an unsharded solve really sees the
+// whole fleet — and schedules it once, cold, through a K-shard
+// scheduler. It returns the measured round time, the
 // number of requests routed, and how many of them the cross-shard
 // overflow pass re-routed. The shard-scale experiment sweeps it over
 // fleet sizes and shard counts.
@@ -29,7 +30,7 @@ func ShardRound(seed int64, nodes, k int, measure func(func()) time.Duration) (e
 		Clusters: nodes / workersPerCluster, MinWorkers: workersPerCluster, MaxWorkers: workersPerCluster,
 		MasterCap:    res.V(8000, 16384, 1000),
 		WorkerCapMin: res.V(4000, 8192, 200), WorkerCapMax: res.V(16000, 32768, 1000),
-		RegionSpreadDeg: 8, CenterLat: 32, CenterLon: 118,
+		RegionSpreadDeg: 3, CenterLat: 32, CenterLon: 118,
 	}, rand.New(rand.NewSource(seed)))
 	// Fresh engine per point: every K schedules the identical cold round,
 	// so a sweep isolates the restriction win and no point rides another
@@ -38,7 +39,6 @@ func ShardRound(seed int64, nodes, k int, measure func(func()) time.Duration) (e
 		Sim: sim.New(), Topo: tp, Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{},
 	})
 	sh := shard.New(e, seed, k, 0)
-	sh.GeoRadiusKm = 1e9
 	var batches []shard.Batch
 	for _, c := range tp.Clusters {
 		b := shard.Batch{Cluster: c.ID}

@@ -229,8 +229,8 @@ func (a *Adam) Step(params []*Param) {
 			a.v[p] = v
 		}
 		for i, g := range p.Grad.Data {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			p.Val.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
@@ -243,7 +243,7 @@ func ClipGrads(params []*Param, c float64) {
 	total := 0.0
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)

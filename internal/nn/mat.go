@@ -9,7 +9,9 @@
 // The product kernels (MatMulInto, MatMulTransAInto, MatMulTransBInto)
 // write into caller-owned matrices and compute every output element as
 // the plain left-to-right sum of products, each product rounded before
-// it is added. On amd64 CPUs with AVX2, detected once at package
+// it is added: the Go loops write every such product as float64(a*b),
+// an explicit conversion the compiler may not fuse into a multiply-add
+// on any architecture. On amd64 CPUs with AVX2, detected once at package
 // initialization, the row kernel behind MatMulInto and MatMulTransAInto
 // runs 16 output columns at a time in assembly with the same operations
 // in the same order (multiply, then add; never a fused multiply-add),
@@ -203,14 +205,14 @@ func accumRowGeneric(orow []float64, off []int, val []float64, bd []float64, fir
 		for t, ob := range off {
 			av := val[t]
 			bk := bd[ob+j : ob+j+8 : ob+j+8]
-			s0 += av * bk[0]
-			s1 += av * bk[1]
-			s2 += av * bk[2]
-			s3 += av * bk[3]
-			s4 += av * bk[4]
-			s5 += av * bk[5]
-			s6 += av * bk[6]
-			s7 += av * bk[7]
+			s0 += float64(av * bk[0])
+			s1 += float64(av * bk[1])
+			s2 += float64(av * bk[2])
+			s3 += float64(av * bk[3])
+			s4 += float64(av * bk[4])
+			s5 += float64(av * bk[5])
+			s6 += float64(av * bk[6])
+			s7 += float64(av * bk[7])
 		}
 		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
@@ -220,7 +222,7 @@ func accumRowGeneric(orow []float64, off []int, val []float64, bd []float64, fir
 			s = orow[j]
 		}
 		for t, ob := range off {
-			s += val[t] * bd[ob+j]
+			s += float64(val[t] * bd[ob+j])
 		}
 		orow[j] = s
 	}
@@ -272,14 +274,14 @@ func matMulTransBMasked(out, a, b *Mat, mask []bool) *Mat {
 				b4, b5 := tbRow(b.Data, js[t+4], kc), tbRow(b.Data, js[t+5], kc)
 				b6, b7 := tbRow(b.Data, js[t+6], kc), tbRow(b.Data, js[t+7], kc)
 				for k, av := range arow {
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
-					s4 += av * b4[k]
-					s5 += av * b5[k]
-					s6 += av * b6[k]
-					s7 += av * b7[k]
+					s0 += float64(av * b0[k])
+					s1 += float64(av * b1[k])
+					s2 += float64(av * b2[k])
+					s3 += float64(av * b3[k])
+					s4 += float64(av * b4[k])
+					s5 += float64(av * b5[k])
+					s6 += float64(av * b6[k])
+					s7 += float64(av * b7[k])
 				}
 				orow[js[t]], orow[js[t+1]], orow[js[t+2]], orow[js[t+3]] = s0, s1, s2, s3
 				orow[js[t+4]], orow[js[t+5]], orow[js[t+6]], orow[js[t+7]] = s4, s5, s6, s7
@@ -288,7 +290,7 @@ func matMulTransBMasked(out, a, b *Mat, mask []bool) *Mat {
 				bj := tbRow(b.Data, js[t], kc)
 				s := 0.0
 				for k, av := range arow {
-					s += av * bj[k]
+					s += float64(av * bj[k])
 				}
 				orow[js[t]] = s
 			}
@@ -379,6 +381,6 @@ func SoftmaxRowInto(out, logits []float64, mask []bool) []float64 {
 func XavierInit(m *Mat, rng *rand.Rand) {
 	a := math.Sqrt(6.0 / float64(m.R+m.C))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * a
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * a
 	}
 }

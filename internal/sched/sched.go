@@ -137,10 +137,10 @@ func Audit(tr *obs.Tracer, sc Scheduler, r *engine.Request, cands []*engine.Node
 	return d.ID
 }
 
-// CandidatesLC returns the worker nodes an LC request may be dispatched
-// to: the local cluster plus geo-nearby clusters within maxKm (footnote
-// 4 of the paper; core passes topo.GeoRadiusKm).
-func CandidatesLC(e *engine.Engine, c topo.ClusterID, maxKm float64) []*engine.Node {
+// CandidatesLC returns the live worker nodes an LC request arriving at
+// cluster c may be dispatched to: c's own plus those of its
+// topo.Topology.Neighbors (footnote 4 of the paper).
+func CandidatesLC(e *engine.Engine, c topo.ClusterID) []*engine.Node {
 	t := e.Topology()
 	var out []*engine.Node
 	for _, w := range t.WorkersOf(c) {
@@ -148,7 +148,7 @@ func CandidatesLC(e *engine.Engine, c topo.ClusterID, maxKm float64) []*engine.N
 			out = append(out, n)
 		}
 	}
-	for _, nc := range t.NeighborClusters(c, maxKm) {
+	for _, nc := range t.Neighbors(c) {
 		for _, w := range t.WorkersOf(nc) {
 			if n := e.Node(w); !n.Down() {
 				out = append(out, n)

@@ -47,16 +47,16 @@ func lcReq(e *engine.Engine, id int64, cluster topo.ClusterID) *engine.Request {
 func TestRoundRobinCycles(t *testing.T) {
 	e, tp := env()
 	rr := &RoundRobin{}
-	cands := CandidatesLC(e, 0, 0) // local only: workers 1,2
+	cands := CandidatesLC(e, 2) // no neighbours: cluster 2's own two workers
 	var got []topo.NodeID
 	for i := 0; i < 4; i++ {
-		id, ok := rr.Pick(lcReq(e, int64(i), 0), cands)
+		id, ok := rr.Pick(lcReq(e, int64(i), 2), cands)
 		if !ok {
 			t.Fatal("pick failed")
 		}
 		got = append(got, id)
 	}
-	w := tp.Cluster(0).Workers
+	w := tp.Cluster(2).Workers
 	want := []topo.NodeID{w[0], w[1], w[0], w[1]}
 	for i := range want {
 		if got[i] != want[i] {
@@ -70,18 +70,18 @@ func TestRoundRobinCycles(t *testing.T) {
 
 func TestLoadGreedyPicksIdlest(t *testing.T) {
 	e, tp := env()
-	w := tp.Cluster(0).Workers
+	w := tp.Cluster(2).Workers
 	// Load worker 0 heavily.
-	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 0}), w[0])
+	place(t, e, e.NewRequest(trace.Request{ID: 1, Type: 6, Class: trace.BE, Cluster: 2}), w[0])
 	lg := LoadGreedy{}
-	id, ok := lg.Pick(lcReq(e, 2, 0), CandidatesLC(e, 0, 0))
+	id, ok := lg.Pick(lcReq(e, 2, 2), CandidatesLC(e, 2))
 	if !ok || id != w[1] {
 		t.Fatalf("picked %d, want idle %d", id, w[1])
 	}
 	// Equal load -> lowest ID.
 	e2, tp2 := env()
-	id, _ = lg.Pick(lcReq(e2, 1, 0), CandidatesLC(e2, 0, 0))
-	if id != tp2.Cluster(0).Workers[0] {
+	id, _ = lg.Pick(lcReq(e2, 1, 2), CandidatesLC(e2, 2))
+	if id != tp2.Cluster(2).Workers[0] {
 		t.Fatalf("tie-break picked %d", id)
 	}
 	if _, ok := lg.Pick(lcReq(e, 3, 0), nil); ok {
@@ -93,7 +93,7 @@ func TestScoringBalancesLoadAndDistance(t *testing.T) {
 	e, tp := env()
 	sc := NewScoring(tp)
 	// All idle: local worker should win over the distant cluster's.
-	cands := CandidatesLC(e, 0, 5000) // includes far cluster
+	cands := CandidatesBE(e) // every worker, the far cluster's too
 	id, ok := sc.Pick(lcReq(e, 1, 0), cands)
 	if !ok {
 		t.Fatal("pick failed")
@@ -118,17 +118,13 @@ func TestScoringBalancesLoadAndDistance(t *testing.T) {
 
 func TestCandidatesLCRespectsGeoRadius(t *testing.T) {
 	e, _ := env()
-	local := CandidatesLC(e, 0, 0)
-	if len(local) != 2 {
-		t.Fatalf("local candidates = %d", len(local))
-	}
-	near := CandidatesLC(e, 0, 500)
+	near := CandidatesLC(e, 0)
 	if len(near) != 4 { // local + cluster 1
-		t.Fatalf("500km candidates = %d", len(near))
+		t.Fatalf("cluster 0 candidates = %d, want 4", len(near))
 	}
-	all := CandidatesLC(e, 0, 5000)
-	if len(all) != 6 {
-		t.Fatalf("5000km candidates = %d", len(all))
+	local := CandidatesLC(e, 2)
+	if len(local) != 2 { // no cluster within 500 km
+		t.Fatalf("cluster 2 candidates = %d, want 2", len(local))
 	}
 }
 

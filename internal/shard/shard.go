@@ -17,7 +17,7 @@
 // spillover is preserved globally: each type's ρ-shuffled overflow set
 // is intercepted (dsslc.Scheduler.OverflowSink) and re-routed in a
 // sequential cross-shard overflow pass by an unrestricted DSS-LC
-// instance whose geo-nearby candidates (topo.NeighborClustersInto) may
+// instance whose geo-nearby candidates (topo.Topology.Neighbors) may
 // cross shard boundaries — so global feasibility matches the unsharded
 // scheduler's.
 //
@@ -82,9 +82,6 @@ type shardState struct {
 // joined before ScheduleRound returns.
 type Scheduler struct {
 	Engine *engine.Engine
-	// GeoRadiusKm bounds candidate clusters per solve (footnote 4),
-	// propagated into every shard's scheduler and the overflow pass.
-	GeoRadiusKm float64
 
 	// Observers, wired per round. In single-shard mode they attach to
 	// the inner scheduler directly (full per-decision audit, exactly as
@@ -133,12 +130,11 @@ func New(e *engine.Engine, seed int64, k, workers int) *Scheduler {
 	}
 	t := e.Topology()
 	s := &Scheduler{
-		Engine:      e,
-		GeoRadiusKm: topo.GeoRadiusKm,
-		shardOf:     t.PartitionClusters(k),
-		workers:     workers,
-		pending:     make([]res.Vector, len(t.Nodes)),
-		ovAssign:    make(dsslc.Assignment),
+		Engine:   e,
+		shardOf:  t.PartitionClusters(k),
+		workers:  workers,
+		pending:  make([]res.Vector, len(t.Nodes)),
+		ovAssign: make(dsslc.Assignment),
 	}
 	counts := make([]int, k)
 	for _, sh := range s.shardOf {
@@ -207,7 +203,6 @@ func (s *Scheduler) ScheduleRound(batches []Batch, out dsslc.Assignment, deliver
 func (s *Scheduler) roundSequential(batches []Batch, out dsslc.Assignment, deliver func(Batch)) {
 	st := s.shards[0]
 	in := st.inner
-	in.GeoRadiusKm = s.GeoRadiusKm
 	in.Tracer, in.OnDecision, in.OnSolve, in.Prof = s.Tracer, s.OnDecision, s.OnSolve, s.Prof
 	for _, b := range batches {
 		// A fresh map per batch keeps the inner scheduler's trace event
@@ -241,7 +236,6 @@ func (s *Scheduler) roundParallel(batches []Batch, out dsslc.Assignment, deliver
 	var solveMu sync.Mutex
 	for _, st := range s.shards {
 		in := st.inner
-		in.GeoRadiusKm = s.GeoRadiusKm
 		in.Tracer, in.OnDecision, in.Prof, in.OnSolve = nil, nil, nil, nil
 		if h := s.OnSolve; h != nil {
 			in.OnSolve = func(g *flow.Graph, src, sink int, r flow.Result) {
@@ -292,7 +286,6 @@ func (s *Scheduler) roundParallel(batches []Batch, out dsslc.Assignment, deliver
 	// several when a neighbor shard is itself saturated, via the
 	// λ-scaled Ĝ'_k of its own case-2 split.
 	ov := s.ov
-	ov.GeoRadiusKm = s.GeoRadiusKm
 	ov.Tracer, ov.OnDecision, ov.OnSolve, ov.Prof = s.Tracer, s.OnDecision, s.OnSolve, s.Prof
 	for _, st := range s.shards {
 		for _, gr := range st.ovGroups {

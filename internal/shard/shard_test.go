@@ -37,8 +37,11 @@ func makeBatches(e *engine.Engine, tp *topo.Topology, perReq int) []shard.Batch 
 	return out
 }
 
+// scaleTopo scatters clusters over a 3° box, whose ~437 km diagonal lies
+// inside the 500 km geo radius: every cluster neighbours every other.
 func scaleTopo(clusters int, seed int64) *topo.Topology {
 	cfg := topo.DefaultGenConfig(clusters)
+	cfg.RegionSpreadDeg = 3
 	return topo.Generate(cfg, rand.New(rand.NewSource(seed)))
 }
 
@@ -89,7 +92,6 @@ func TestMultiShardDeterministic(t *testing.T) {
 		e := newEngine(tp)
 		batches := makeBatches(e, tp, 30)
 		sh := shard.New(e, seed, k, workers)
-		sh.GeoRadiusKm = 1e9
 		out := make(dsslc.Assignment)
 		sh.ScheduleRound(batches, out, nil)
 		return out
@@ -116,7 +118,6 @@ func TestAllRequestsAssigned(t *testing.T) {
 		total += len(b.Reqs)
 	}
 	sh := shard.New(e, 11, 4, 2)
-	sh.GeoRadiusKm = 1e9
 	out := make(dsslc.Assignment)
 	sh.ScheduleRound(batches, out, nil)
 	if len(out) != total {
@@ -168,7 +169,8 @@ func TestEmptyShards(t *testing.T) {
 // chainTopo builds three cluster groups on a west→east line: a starved
 // origin group, a middle group with little headroom, and a far group
 // holding nearly all capacity. With K=3 the bisection puts each group
-// in its own shard.
+// in its own shard. The line spans ~400 km, so every cluster is inside
+// every other's 500 km geo neighbourhood.
 func chainTopo() *topo.Topology {
 	b := topo.NewBuilder()
 	tiny := []res.Vector{res.V(600, 1024, 50)}   // ~1 request of type 0
@@ -194,7 +196,6 @@ func TestOverflowCrossesMultipleShardBoundaries(t *testing.T) {
 	tp := chainTopo()
 	e := newEngine(tp)
 	sh := shard.New(e, 17, 3, 3)
-	sh.GeoRadiusKm = 1e9
 
 	shardOf := tp.PartitionClusters(3) // the partition shard.New(e, _, 3, _) uses
 	origin := tp.Clusters[0].ID
@@ -236,7 +237,6 @@ func TestShardStatsAndTotals(t *testing.T) {
 	tp := scaleTopo(16, 21)
 	e := newEngine(tp)
 	sh := shard.New(e, 5, 4, 2)
-	sh.GeoRadiusKm = 1e9
 	out := make(dsslc.Assignment)
 	for round := 0; round < 3; round++ {
 		clear(out)
@@ -270,7 +270,6 @@ func TestDeliverOrder(t *testing.T) {
 		e := newEngine(tp)
 		batches := makeBatches(e, tp, 4)
 		sh := shard.New(e, 1, k, 2)
-		sh.GeoRadiusKm = 1e9
 		out := make(dsslc.Assignment)
 		var order []topo.ClusterID
 		sh.ScheduleRound(batches, out, func(b shard.Batch) {

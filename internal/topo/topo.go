@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/res"
@@ -78,6 +79,13 @@ type Topology struct {
 	// pristine topology, keeping healthy runs bit-identical to builds
 	// that predate the overlay.
 	net *NetOverlay
+
+	// distKm[a][b] is the great-circle distance between clusters a and
+	// b, and nbrs[c] the clusters within GeoRadiusKm of c in ascending
+	// ID order. Build fills both once: cluster positions never change
+	// after it.
+	distKm [][]float64
+	nbrs   [][]ClusterID
 }
 
 // Node returns the node with the given ID.
@@ -108,13 +116,7 @@ func (t *Topology) CentralCluster() *Cluster {
 }
 
 // DistanceKm returns the great-circle distance between two clusters.
-func (t *Topology) DistanceKm(a, b ClusterID) float64 {
-	if a == b {
-		return 0
-	}
-	ca, cb := t.Cluster(a), t.Cluster(b)
-	return haversineKm(ca.Lat, ca.Lon, cb.Lat, cb.Lon)
-}
+func (t *Topology) DistanceKm(a, b ClusterID) float64 { return t.distKm[a][b] }
 
 // RTT returns the round-trip time between two nodes: LANRTT within a
 // cluster (zero to self), or the distance-derived WAN RTT across clusters.
@@ -137,7 +139,7 @@ func (t *Topology) ClusterRTT(a, b ClusterID) time.Duration {
 		return t.LANRTT
 	}
 	km := t.DistanceKm(a, b)
-	extra := time.Duration(km/t.KmPerMsRTT*float64(time.Millisecond) + 0.5)
+	extra := time.Duration(float64(km/t.KmPerMsRTT*float64(time.Millisecond)) + 0.5)
 	return t.wanAdjust(a, b, t.WANBaseRTT+extra)
 }
 
@@ -157,26 +159,10 @@ func (t *Topology) LinkBandwidth(a, b NodeID) int64 {
 // distance (500 km in the production dataset).
 const GeoRadiusKm float64 = 500
 
-// NeighborClusters returns the clusters within maxKm of c (excluding c),
-// implementing the paper's footnote 4 with maxKm = GeoRadiusKm.
-func (t *Topology) NeighborClusters(c ClusterID, maxKm float64) []ClusterID {
-	return t.NeighborClustersInto(nil, c, maxKm)
-}
-
-// NeighborClustersInto is NeighborClusters appending into buf, so
-// callers that query the (static) neighbor list every period can reuse
-// one slice instead of allocating per call.
-func (t *Topology) NeighborClustersInto(buf []ClusterID, c ClusterID, maxKm float64) []ClusterID {
-	for _, other := range t.Clusters {
-		if other.ID == c {
-			continue
-		}
-		if t.DistanceKm(c, other.ID) <= maxKm {
-			buf = append(buf, other.ID)
-		}
-	}
-	return buf
-}
+// Neighbors returns the clusters within GeoRadiusKm of c (excluding c)
+// in ascending ID order: the geo neighbourhood of footnote 4. The slice
+// is shared by every caller and must not be modified.
+func (t *Topology) Neighbors(c ClusterID) []ClusterID { return t.nbrs[c] }
 
 // WorkersOf returns the worker node IDs of a cluster.
 func (t *Topology) WorkersOf(c ClusterID) []NodeID { return t.Cluster(c).Workers }
@@ -197,8 +183,8 @@ func haversineKm(lat1, lon1, lat2, lon2 float64) float64 {
 	rad := math.Pi / 180
 	dLat := (lat2 - lat1) * rad
 	dLon := (lon2 - lon1) * rad
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	a := float64(math.Sin(dLat/2)*math.Sin(dLat/2)) +
+		float64(math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2))
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
@@ -248,13 +234,32 @@ func (b *Builder) MarkCentral(c ClusterID) {
 	b.t.Cluster(c).Central = true
 }
 
-// Build finalizes the topology. If no cluster is marked central, the one
-// minimizing the sum of distances to all others (ties broken toward more
-// total capacity) is chosen, per footnote 2 of the paper.
+// Build finalizes the topology: it computes every cluster-pair distance
+// and every footnote-4 neighbourhood once. If no cluster is marked
+// central, the one minimizing the sum of distances to all others (ties
+// broken toward more total capacity) is chosen, per footnote 2 of the
+// paper.
 func (b *Builder) Build() *Topology {
 	t := b.t
-	if len(t.Clusters) == 0 {
+	n := len(t.Clusters)
+	if n == 0 {
 		panic("topo: Build with no clusters")
+	}
+	t.distKm = make([][]float64, n)
+	t.nbrs = make([][]ClusterID, n)
+	for i, c := range t.Clusters {
+		row := make([]float64, n)
+		var near []ClusterID
+		for j, o := range t.Clusters {
+			if j == i {
+				continue
+			}
+			row[j] = haversineKm(c.Lat, c.Lon, o.Lat, o.Lon)
+			if row[j] <= GeoRadiusKm {
+				near = append(near, o.ID)
+			}
+		}
+		t.distKm[i], t.nbrs[i] = row, slices.Clip(near)
 	}
 	hasCentral := false
 	for _, c := range t.Clusters {
@@ -266,8 +271,8 @@ func (b *Builder) Build() *Topology {
 		bestIdx, bestScore := 0, math.Inf(1)
 		for i, c := range t.Clusters {
 			sum := 0.0
-			for _, o := range t.Clusters {
-				sum += t.DistanceKm(c.ID, o.ID)
+			for _, d := range t.distKm[i] {
+				sum += d
 			}
 			// Resource-rich clusters win ties: subtract a small capacity bonus.
 			capSum := int64(0)
@@ -323,19 +328,27 @@ func Generate(cfg GenConfig, rng *rand.Rand) *Topology {
 	}
 	b := NewBuilder()
 	for i := 0; i < cfg.Clusters; i++ {
-		lat := cfg.CenterLat + (rng.Float64()-0.5)*cfg.RegionSpreadDeg
-		lon := cfg.CenterLon + (rng.Float64()-0.5)*cfg.RegionSpreadDeg
-		n := cfg.MinWorkers
-		if cfg.MaxWorkers > cfg.MinWorkers {
-			n += rng.Intn(cfg.MaxWorkers - cfg.MinWorkers + 1)
-		}
-		caps := make([]res.Vector, n)
-		for j := range caps {
-			caps[j] = lerpVec(cfg.WorkerCapMin, cfg.WorkerCapMax, rng.Float64())
-		}
-		b.AddCluster(lat, lon, cfg.MasterCap, caps)
+		addRandomCluster(b, cfg, rng)
 	}
 	return b.Build()
+}
+
+// addRandomCluster places one cluster of cfg's shape at a random point
+// of its region. The explicit float64 conversions round each product
+// so no architecture fuses it into the following add; rng.Float64
+// divides by 2^63, which the compiler turns into such a product.
+func addRandomCluster(b *Builder, cfg GenConfig, rng *rand.Rand) {
+	lat := cfg.CenterLat + float64((float64(rng.Float64())-0.5)*cfg.RegionSpreadDeg)
+	lon := cfg.CenterLon + float64((float64(rng.Float64())-0.5)*cfg.RegionSpreadDeg)
+	n := cfg.MinWorkers
+	if cfg.MaxWorkers > cfg.MinWorkers {
+		n += rng.Intn(cfg.MaxWorkers - cfg.MinWorkers + 1)
+	}
+	caps := make([]res.Vector, n)
+	for j := range caps {
+		caps[j] = lerpVec(cfg.WorkerCapMin, cfg.WorkerCapMax, rng.Float64())
+	}
+	b.AddCluster(lat, lon, cfg.MasterCap, caps)
 }
 
 func lerpVec(lo, hi res.Vector, f float64) res.Vector {
@@ -347,11 +360,8 @@ func lerpVec(lo, hi res.Vector, f float64) res.Vector {
 	}
 }
 
-// PhysicalTestbed reproduces the paper's physical space: four clusters,
-// each one master (8 CPU / 16 GB) plus four workers (4 CPU / 8 GB),
-// placed ~100–400 km apart.
-func PhysicalTestbed() *Topology {
-	b := NewBuilder()
+// addTestbed adds PhysicalTestbed's four clusters.
+func addTestbed(b *Builder) {
 	locs := [][2]float64{{31.2, 121.5}, {32.1, 118.8}, {30.3, 120.2}, {31.8, 117.2}}
 	for _, loc := range locs {
 		workers := make([]res.Vector, 4)
@@ -360,6 +370,14 @@ func PhysicalTestbed() *Topology {
 		}
 		b.AddCluster(loc[0], loc[1], res.V(8000, 16384, 1000), workers)
 	}
+}
+
+// PhysicalTestbed reproduces the paper's physical space: four clusters,
+// each one master (8 CPU / 16 GB) plus four workers (4 CPU / 8 GB),
+// placed ~100–400 km apart.
+func PhysicalTestbed() *Topology {
+	b := NewBuilder()
+	addTestbed(b)
 	return b.Build()
 }
 
@@ -369,24 +387,10 @@ func PhysicalTestbed() *Topology {
 func DualSpace(virtual int, seed int64) *Topology {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder()
-	locs := [][2]float64{{31.2, 121.5}, {32.1, 118.8}, {30.3, 120.2}, {31.8, 117.2}}
-	for _, loc := range locs {
-		workers := make([]res.Vector, 4)
-		for i := range workers {
-			workers[i] = res.V(4000, 8192, 500)
-		}
-		b.AddCluster(loc[0], loc[1], res.V(8000, 16384, 1000), workers)
-	}
+	addTestbed(b)
 	cfg := DefaultGenConfig(virtual)
 	for i := 0; i < virtual; i++ {
-		lat := cfg.CenterLat + (rng.Float64()-0.5)*cfg.RegionSpreadDeg
-		lon := cfg.CenterLon + (rng.Float64()-0.5)*cfg.RegionSpreadDeg
-		n := cfg.MinWorkers + rng.Intn(cfg.MaxWorkers-cfg.MinWorkers+1)
-		caps := make([]res.Vector, n)
-		for j := range caps {
-			caps[j] = lerpVec(cfg.WorkerCapMin, cfg.WorkerCapMax, rng.Float64())
-		}
-		b.AddCluster(lat, lon, cfg.MasterCap, caps)
+		addRandomCluster(b, cfg, rng)
 	}
 	return b.Build()
 }

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,13 +133,57 @@ func TestNeighborClusters(t *testing.T) {
 	b.AddCluster(30.5, 120, res.V(8000, 16384, 1000), caps) // ~55km away
 	b.AddCluster(40, 120, res.V(8000, 16384, 1000), caps)   // ~1100km away
 	tp := b.Build()
-	near := tp.NeighborClusters(0, 500)
-	if len(near) != 1 || near[0] != 1 {
-		t.Fatalf("NeighborClusters(500km) = %v, want [1]", near)
+	for c, want := range [][]ClusterID{{1}, {0}, {}} {
+		got := tp.Neighbors(ClusterID(c))
+		if len(got) != len(want) || (len(want) > 0 && got[0] != want[0]) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", c, got, want)
+		}
 	}
-	all := tp.NeighborClusters(0, 5000)
-	if len(all) != 2 {
-		t.Fatalf("NeighborClusters(5000km) = %v", all)
+}
+
+// Build's distance table and neighbour lists are the geography every
+// scheduler reads: each entry must be bit-equal to haversineKm for its
+// ordered pair (0 on the diagonal), and each list must equal a
+// brute-force filter over the table. The JSON round trip carries a
+// central cluster, so it covers the Build path that skips the central
+// choice.
+func TestGeographyTablesMatchBruteForce(t *testing.T) {
+	var rt strings.Builder
+	if err := DualSpace(10, 3).WriteJSON(&rt); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := ReadJSON(strings.NewReader(rt.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tp   *Topology
+	}{
+		{"testbed", PhysicalTestbed()},
+		{"dualspace", DualSpace(100, 1)},
+		{"generate", Generate(DefaultGenConfig(24), rand.New(rand.NewSource(5)))},
+		{"json", fromJSON},
+	} {
+		tp := tc.tp
+		for _, a := range tp.Clusters {
+			var want []ClusterID
+			for _, b := range tp.Clusters {
+				d := 0.0
+				if a.ID != b.ID {
+					d = haversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+					if d <= GeoRadiusKm {
+						want = append(want, b.ID)
+					}
+				}
+				if got := tp.DistanceKm(a.ID, b.ID); math.Float64bits(got) != math.Float64bits(d) {
+					t.Fatalf("%s: DistanceKm(%d, %d) = %v, haversineKm = %v", tc.name, a.ID, b.ID, got, d)
+				}
+			}
+			if got := tp.Neighbors(a.ID); !slices.Equal(got, want) {
+				t.Fatalf("%s: Neighbors(%d) = %v, brute force %v", tc.name, a.ID, got, want)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,19 @@ GOARCH=arm64 go vet ./internal/nn ./internal/gnn ./internal/rl
 # before the A/B smoke.
 (cd perfbench && go vet ./... && go test ./...)
 
+echo "== no fused multiply-add in topo and nn on arm64 =="
+# A fused multiply-add skips the product's rounding, so an arm64 build
+# of topo or nn would drift from amd64 in the last bit. Their Go loops
+# write each product as float64(a*b), which the compiler may not fuse;
+# fail if arm64 code generation still finds a product to fuse.
+asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/topo ./internal/nn 2>&1)
+fused=$(printf '%s\n' "$asm" | grep -E '[[:space:]]F(N?MADD|N?MSUB)D[[:space:]]' || true)
+if [ -n "$fused" ]; then
+    echo "fused multiply-add in arm64 code:"
+    echo "$fused"
+    exit 1
+fi
+
 echo "== production free of test oracles =="
 # internal/check holds the reference solvers and differential oracles;
 # only tests may import it, so no command or example links it.
@@ -52,6 +65,20 @@ go test -race ./internal/shard ./internal/dsslc ./internal/flow ./internal/topo
 
 echo "== go test -race =="
 go test -race -timeout 120m ./...
+
+echo "== examples =="
+# Run every example at a short horizon: replay builds its topology
+# through ReadJSON, largescale runs DSACO's geo filter and failover the
+# down-node path.
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+go build -o "$exdir/" ./examples/...
+for ex in colocation failover quickstart replay scheduling; do
+    echo "-- $ex"
+    "$exdir/$ex" > /dev/null
+done
+echo "-- largescale"
+"$exdir/largescale" -virtual 4 -duration 4s > /dev/null
 
 echo "== replay smoke =="
 sh scripts/replay_smoke.sh
