@@ -416,7 +416,7 @@ func (s *Scheduler) train() {
 	}
 	batch := make([]rl.Transition, len(src))
 	for i, p := range src {
-		p.tr.Reward = p.rShort + s.Eta*rLong
+		p.tr.Reward = p.rShort + float64(s.Eta*rLong)
 		batch[i] = p.tr
 	}
 	s.pending = s.pending[:0]

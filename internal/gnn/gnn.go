@@ -224,12 +224,12 @@ func (s *SAGE) Backward(dOut *nn.Mat) {
 			src := dAgg.Row(i)
 			self := dIn.Row(i)
 			for c, v := range src {
-				self[c] += v * inv
+				self[c] += float64(v * inv)
 			}
 			for _, j := range l.samples[i] {
 				dst := dIn.Row(j)
 				for c, v := range src {
-					dst[c] += v * inv
+					dst[c] += float64(v * inv)
 				}
 			}
 		}
@@ -277,12 +277,12 @@ func (g *GCN) propagate(gr *Graph, h *nn.Mat) *nn.Mat {
 		di := g.norm[i]
 		row := out.Row(i)
 		for c, v := range h.Row(i) {
-			row[c] += v * di * di // self loop
+			row[c] += float64(v * di * di) // self loop
 		}
 		for _, j := range gr.Neigh[i] {
 			dj := g.norm[j]
 			for c, v := range h.Row(j) {
-				row[c] += v * di * dj
+				row[c] += float64(v * di * dj)
 			}
 		}
 	}
@@ -402,8 +402,8 @@ func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 			for ci, j := range cand {
 				s := 0.0
 				for c := 0; c < d; c++ {
-					s += avec[c] * wh.At(i, c)
-					s += avec[d+c] * wh.At(j, c)
+					s += float64(avec[c] * wh.At(i, c))
+					s += float64(avec[d+c] * wh.At(j, c))
 				}
 				scores[ci] = leaky(s)
 			}
@@ -413,7 +413,7 @@ func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 			for ci, j := range cand {
 				a := alpha[ci]
 				for c, v := range wh.Row(j) {
-					row[c] += a * v
+					row[c] += float64(a * v)
 				}
 			}
 		}
@@ -439,7 +439,7 @@ func (g *GAT) Backward(dOut *nn.Mat) {
 				a := g.atts[li][i][ci]
 				dst := dWH.Row(j)
 				for c, v := range src {
-					dst[c] += a * v
+					dst[c] += float64(a * v)
 				}
 			}
 		}

@@ -138,7 +138,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 	last := batch[len(batch)-1]
 	run := a.Value(last.Graph, last.X)
 	for i := len(batch) - 1; i >= 0; i-- {
-		run = batch[i].Reward + a.gamma*run
+		run = batch[i].Reward + float64(a.gamma*run)
 		returns[i] = run
 	}
 
@@ -169,7 +169,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 		ent := 0.0
 		for _, p := range probs {
 			if p > 0 {
-				ent -= p * math.Log(p)
+				ent -= float64(p * math.Log(p))
 			}
 		}
 		st.Entropy += ent
@@ -181,13 +181,13 @@ func (a *A2C) Update(batch []Transition) Stats {
 				dLogits.Data[j] = 0 // masked logits receive no gradient
 				continue
 			}
-			g := p * adv
+			g := float64(p * adv)
 			if j == tr.Action {
 				g -= adv
 			}
 			// entropy derivative
 			if p > 0 {
-				g += a.entropy * p * (math.Log(p) + ent)
+				g += float64(a.entropy * p * (math.Log(p) + ent))
 			}
 			dLogits.Data[j] = g * scale
 		}
@@ -200,15 +200,15 @@ func (a *A2C) Update(batch []Transition) Stats {
 		for r := 0; r < emb.R; r++ {
 			row, src := dEmb.Row(r), dEmbActor.Row(r)
 			for c, v := range src {
-				row[c] = v + dPooled.Data[c]*inv
+				row[c] = v + float64(dPooled.Data[c]*inv)
 			}
 		}
 		a.Enc.Backward(dEmb)
 
 		if probs[tr.Action] > 0 {
-			st.PolicyLoss += -math.Log(probs[tr.Action]) * adv * scale
+			st.PolicyLoss += float64(-math.Log(probs[tr.Action]) * adv * scale)
 		}
-		st.ValueLoss += adv * adv * scale
+		st.ValueLoss += float64(adv * adv * scale)
 	}
 	nn.ClipGrads(a.params(), 5)
 	a.opt.Step(a.params())
@@ -278,7 +278,7 @@ func polyak(dst, src *nn.MLP, tau float64) {
 	dp, sp := dst.Params(), src.Params()
 	for i := range dp {
 		for j := range dp[i].Val.Data {
-			dp[i].Val.Data[j] = (1-tau)*dp[i].Val.Data[j] + tau*sp[i].Val.Data[j]
+			dp[i].Val.Data[j] = float64((1-tau)*dp[i].Val.Data[j]) + float64(tau*sp[i].Val.Data[j])
 		}
 	}
 }
@@ -329,16 +329,16 @@ func (s *SAC) Update(batch []Transition) Stats {
 				continue
 			}
 			q := math.Min(t1.At(j, 0), t2.At(j, 0))
-			target += p * (q - sacAlpha*math.Log(p))
+			target += float64(p * (q - float64(sacAlpha*math.Log(p))))
 		}
-		y := tr.Reward + discount*target
+		y := tr.Reward + float64(discount*target)
 
 		emb := s.Enc.Forward(tr.Graph, tr.X)
 		q1 := s.Q1.Forward(emb)
 		q2 := s.Q2.Forward(emb)
 		d1 := q1.At(tr.Action, 0) - y
 		d2 := q2.At(tr.Action, 0) - y
-		st.ValueLoss += (d1*d1 + d2*d2) * scale
+		st.ValueLoss += float64((float64(d1*d1) + float64(d2*d2)) * scale)
 
 		dq1 := nn.NewMat(emb.R, 1)
 		dq1.Set(tr.Action, 0, 2*d1*scale)
@@ -375,9 +375,9 @@ func (s *SAC) Update(batch []Transition) Stats {
 			if p <= 0 {
 				continue
 			}
-			vals[j] = sacAlpha*math.Log(p) - math.Min(q1.At(j, 0), q2.At(j, 0))
-			mean += p * vals[j]
-			st.PolicyLoss += p * vals[j] * scale
+			vals[j] = float64(sacAlpha*math.Log(p)) - math.Min(q1.At(j, 0), q2.At(j, 0))
+			mean += float64(p * vals[j])
+			st.PolicyLoss += float64(p * vals[j] * scale)
 		}
 		dLogits := nn.NewMat(tr.Graph.N, 1)
 		for j, p := range probs {

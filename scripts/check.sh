@@ -25,12 +25,14 @@ GOARCH=arm64 go vet ./internal/nn ./internal/gnn ./internal/rl
 # before the A/B smoke.
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== no fused multiply-add in topo and nn on arm64 =="
+echo "== no fused multiply-add in topo and the learner on arm64 =="
 # A fused multiply-add skips the product's rounding, so an arm64 build
-# of topo or nn would drift from amd64 in the last bit. Their Go loops
-# write each product as float64(a*b), which the compiler may not fuse;
-# fail if arm64 code generation still finds a product to fuse.
-asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/topo ./internal/nn 2>&1)
+# of topo or the learner (nn, gnn, rl, dcgbe) would drift from amd64 in
+# the last bit. Their Go loops write each product as float64(a*b), which
+# the compiler may not fuse; fail if arm64 code generation still finds a
+# product to fuse.
+asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/topo ./internal/nn \
+    ./internal/gnn ./internal/rl ./internal/dcgbe 2>&1)
 fused=$(printf '%s\n' "$asm" | grep -E '[[:space:]]F(N?MADD|N?MSUB)D[[:space:]]' || true)
 if [ -n "$fused" ]; then
     echo "fused multiply-add in arm64 code:"
