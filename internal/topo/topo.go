@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/res"
@@ -245,21 +244,35 @@ func (b *Builder) Build() *Topology {
 	if n == 0 {
 		panic("topo: Build with no clusters")
 	}
+	// Count the neighbours while filling the table, so every neighbour
+	// list is a capped window of one exact-size backing array.
 	t.distKm = make([][]float64, n)
-	t.nbrs = make([][]ClusterID, n)
+	near := 0
 	for i, c := range t.Clusters {
 		row := make([]float64, n)
-		var near []ClusterID
 		for j, o := range t.Clusters {
 			if j == i {
 				continue
 			}
 			row[j] = haversineKm(c.Lat, c.Lon, o.Lat, o.Lon)
 			if row[j] <= GeoRadiusKm {
-				near = append(near, o.ID)
+				near++
 			}
 		}
-		t.distKm[i], t.nbrs[i] = row, slices.Clip(near)
+		t.distKm[i] = row
+	}
+	t.nbrs = make([][]ClusterID, n)
+	backing := make([]ClusterID, near)
+	off := 0
+	for i, row := range t.distKm {
+		start := off
+		for j, d := range row {
+			if j != i && d <= GeoRadiusKm {
+				backing[off] = t.Clusters[j].ID
+				off++
+			}
+		}
+		t.nbrs[i] = backing[start:off:off]
 	}
 	hasCentral := false
 	for _, c := range t.Clusters {
