@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gnn"
@@ -47,13 +46,19 @@ const EmbDim = 32
 // reproduction runs the networks on the CPU).
 const maxTrainBatch = 32
 
-// Agent abstracts A2C vs SAC for the pairing experiments.
+// Agent abstracts A2C vs SAC for the pairing experiments. The slice
+// Probs returns may be owned by the agent, valid until its next Probs
+// or Update.
 type Agent interface {
 	Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64
 	Update(batch []rl.Transition) rl.Stats
 }
 
-// Scheduler is the centralized BE dispatcher policy.
+// Scheduler is the centralized BE dispatcher policy. Every Pick runs
+// one inference over the current fleet state. GraphSAGE draws its
+// neighbour samples once per policy version (the encoder's optimizer
+// step count), so the picks of one training interval share the samples
+// that train re-forwards them with, and training moves to a fresh draw.
 type Scheduler struct {
 	Engine *engine.Engine
 	Agent  Agent
@@ -88,28 +93,14 @@ type Scheduler struct {
 	completedWork float64
 	maxCPU        float64
 	maxMem        float64
-	// Updates counts trainings; Decisions counts scheduling actions;
-	// CacheHits counts decisions served from the round cache.
+	// Updates counts trainings; Decisions counts scheduling actions.
+	// CacheHits is always 0: every decision runs its own inference. It
+	// remains for the benchmark's dcgbe.cache_hit_ratio.
 	Updates   int64
 	Decisions int64
 	CacheHits int64
 
-	// Round cache: within one dispatch round (same virtual instant) the
-	// fleet state barely changes between consecutive picks of the same
-	// request type, so the policy distribution is reused. Keyed by
-	// (type, cluster) and cleared whenever the clock advances.
-	cacheAt  time.Duration
-	cacheMap map[cacheKey]*cacheEntry
-	rng      *rand.Rand
-}
-
-type cacheKey struct {
-	t trace.TypeID
-	c topo.ClusterID
-}
-
-type cacheEntry struct {
-	probs []float64
+	rng *rand.Rand // the pick draw
 }
 
 type pendingReward struct {
@@ -251,7 +242,9 @@ func (s *Scheduler) Pick(r *engine.Request, _ []*engine.Node) (topo.NodeID, bool
 	if !ok {
 		return 0, false
 	}
-	probs := s.probsCached(now(s), cacheKey{t: r.Type, c: r.Cluster}, x, mask)
+	s.Prof.Enter(perf.PhaseBEInfer)
+	probs := s.Agent.Probs(s.graph, x, mask)
+	s.Prof.Exit(perf.PhaseBEInfer)
 	return s.record(x, mask, s.choose(probs))
 }
 
@@ -307,35 +300,6 @@ func (s *Scheduler) buildState(r *engine.Request) (*nn.Mat, []bool, bool) {
 		}
 	}
 	return x, mask, true
-}
-
-func now(s *Scheduler) time.Duration { return s.Engine.Sim().Now() }
-
-// cached looks up the policy distribution computed earlier in the same
-// dispatch round for this (type, cluster) key. AllowFn masks depend only
-// on the request's cluster, so the key covers them.
-func (s *Scheduler) cached(at time.Duration, k cacheKey) (*cacheEntry, bool) {
-	if s.cacheAt != at || s.cacheMap == nil {
-		s.cacheAt = at
-		s.cacheMap = map[cacheKey]*cacheEntry{}
-		return nil, false
-	}
-	e, ok := s.cacheMap[k]
-	return e, ok
-}
-
-// probsCached returns the policy distribution, reusing the one computed
-// for the same (type, cluster) at the same virtual instant.
-func (s *Scheduler) probsCached(at time.Duration, k cacheKey, x *nn.Mat, mask []bool) []float64 {
-	if e, ok := s.cached(at, k); ok {
-		s.CacheHits++
-		return e.probs
-	}
-	s.Prof.Enter(perf.PhaseBEInfer)
-	probs := s.Agent.Probs(s.graph, x, mask)
-	s.Prof.Exit(perf.PhaseBEInfer)
-	s.cacheMap[k] = &cacheEntry{probs: probs}
-	return probs
 }
 
 // choose samples the target from the distribution. Sampling never

@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -52,14 +53,12 @@ func hubGraph(n int) *Graph {
 }
 
 // gradCheckReadout finite-differences L = Σ r∘enc(x) for a fixed random
-// readout r over every parameter. before runs ahead of each Forward (to
-// pin SAGE's neighbour samples).
-func gradCheckReadout(t *testing.T, enc Encoder, g *Graph, x *nn.Mat, before func(), tol float64) {
+// readout r over every parameter.
+func gradCheckReadout(t *testing.T, enc Encoder, g *Graph, x *nn.Mat, tol float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	var r *nn.Mat
 	loss := func() float64 {
-		before()
 		y := enc.Forward(g, x)
 		if r == nil {
 			r = feat(rng, y.R, y.C)
@@ -74,7 +73,6 @@ func gradCheckReadout(t *testing.T, enc Encoder, g *Graph, x *nn.Mat, before fun
 	for _, p := range enc.Params() {
 		p.Grad.Zero()
 	}
-	before()
 	enc.Forward(g, x)
 	enc.Backward(r)
 	checked := 0
@@ -102,15 +100,16 @@ func gradCheckReadout(t *testing.T, enc Encoder, g *Graph, x *nn.Mat, before fun
 }
 
 // TestGradCheckSAGESampledReused checks GraphSAGE's backward through
-// p-sampling (samples pinned by reseeding) on buffers already dirtied
-// by a pass over other features.
+// p-sampling on buffers already dirtied by a pass over other features.
+// The perturbed weights take no optimizer step, so every Forward keeps
+// the samples of the first.
 func TestGradCheckSAGESampledReused(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := NewSAGE(rng, 2, 4, 8, 6, 3)
 	g := hubGraph(12)
 	s.Backward(s.Forward(g, feat(rng, 12, 4)))
 	x := feat(rng, 12, 4)
-	gradCheckReadout(t, s, g, x, func() { s.rng = rand.New(rand.NewSource(5)) }, 1e-4)
+	gradCheckReadout(t, s, g, x, 1e-4)
 }
 
 // TestGradCheckGCNReadout checks GCN's backward on irregular degrees,
@@ -120,12 +119,14 @@ func TestGradCheckGCNReadout(t *testing.T) {
 	enc := NewGCN(rng, 4, 8, 6, 3)
 	warm := hubGraph(30)
 	enc.Backward(enc.Forward(warm, feat(rng, 30, 4)))
-	gradCheckReadout(t, enc, hubGraph(12), feat(rng, 12, 4), func() {}, 1e-4)
+	gradCheckReadout(t, enc, hubGraph(12), feat(rng, 12, 4), 1e-4)
 }
 
 // TestSAGEReusedBuffersMatchFresh requires a SAGE whose buffers hold an
-// earlier pass to match a fresh copy bit for bit on the same inputs and
-// rng stream, so nothing stale survives in the reused buffers.
+// earlier pass to match a fresh copy bit for bit on the same inputs, so
+// nothing stale survives in the reused buffers. Both copies start from
+// one seed, so the fresh one's first Forward draws the samples the
+// reused one drew for its earlier pass.
 func TestSAGEReusedBuffersMatchFresh(t *testing.T) {
 	mk := func() *SAGE { return NewSAGE(rand.New(rand.NewSource(31)), 3, 4, 8, 6) }
 	fresh, reused := mk(), mk()
@@ -136,8 +137,6 @@ func TestSAGEReusedBuffersMatchFresh(t *testing.T) {
 	for _, p := range reused.Params() {
 		p.Grad.Zero()
 	}
-	fresh.rng = rand.New(rand.NewSource(7))
-	reused.rng = rand.New(rand.NewSource(7))
 	yf := fresh.Forward(g, x).Clone()
 	yr := reused.Forward(g, x)
 	for i := range yf.Data {
@@ -153,6 +152,62 @@ func TestSAGEReusedBuffersMatchFresh(t *testing.T) {
 			if math.Float64bits(p.Grad.Data[i]) != math.Float64bits(q.Grad.Data[i]) {
 				t.Fatalf("%s grad[%d] %v vs fresh %v", p.Name, i, p.Grad.Data[i], q.Grad.Data[i])
 			}
+		}
+	}
+}
+
+// TestSAGEForwardPureBetweenSteps requires the same (graph, features)
+// to encode bit for bit alike with other forwards in between: until an
+// optimizer step, the neighbour samples stay as first drawn.
+func TestSAGEForwardPureBetweenSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	s := NewSAGE(rng, 3, 4, 8, 6)
+	g := hubGraph(17)
+	x := feat(rng, 17, 4)
+	want := s.Forward(g, x).Clone()
+	for i := 0; i < 3; i++ {
+		s.Forward(g, feat(rng, 17, 4))
+	}
+	got := s.Forward(g, x)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("output[%d] %v, first forward gave %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestSAGEResamplesAfterStep requires an optimizer step, and not a
+// direct write to the weights, to redraw the samples of a node with
+// more than p neighbours.
+func TestSAGEResamplesAfterStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	s := NewSAGE(rng, 3, 4, 8, 6)
+	g := hubGraph(17) // node 0 has 16 neighbours
+	x := feat(rng, 17, 4)
+	hubSamples := func() [][]int {
+		var out [][]int
+		for _, l := range s.layers {
+			out = append(out, slices.Clone(l.samples[0]))
+		}
+		return out
+	}
+	s.Forward(g, x)
+	before := hubSamples()
+	s.Params()[0].Val.Data[0] += 0.5
+	s.Forward(g, x)
+	for li, ns := range hubSamples() {
+		if !slices.Equal(ns, before[li]) {
+			t.Fatalf("layer %d redrew the hub's samples without a step: %v, then %v", li, before[li], ns)
+		}
+	}
+	nn.NewAdam(0.01).Step(s.Params())
+	s.Forward(g, x)
+	for li, ns := range hubSamples() {
+		if len(ns) != 3 {
+			t.Fatalf("layer %d: hub has %d samples after the step, want 3", li, len(ns))
+		}
+		if slices.Equal(ns, before[li]) {
+			t.Fatalf("layer %d kept the hub's samples %v across an optimizer step", li, ns)
 		}
 	}
 }

@@ -74,22 +74,31 @@ type Encoder interface {
 
 // sageLayer is one GraphSAGE aggregation: out = ReLU(mean(self∪N(i)) · W).
 type sageLayer struct {
-	w       *nn.Param
-	relu    nn.ReLU
+	w    *nn.Param
+	relu nn.ReLU
+	// samples[i] are the neighbours node i aggregates, drawn for graph g
+	// when w had taken drawnAt optimizer steps; counts[i] is
+	// len(samples[i])+1. sampled is the samples' backing store.
 	g       *Graph
+	drawnAt int
+	samples [][]int
+	counts  []float64
+	sampled []int
 	in      *nn.Mat
 	agg     *nn.Mat // cached aggregated input
-	samples [][]int // neighbours actually sampled this forward
-	counts  []float64
-	// Reused buffers: the backing store of samples, the pre-activation
-	// agg·W, W's per-call gradient, ∂L/∂agg and ∂L/∂in.
-	sampled          []int
+	// Reused buffers: the pre-activation agg·W, W's per-call gradient,
+	// ∂L/∂agg and ∂L/∂in.
 	z, dw, dAgg, dIn *nn.Mat
 }
 
 // SAGE is the GraphSAGE encoder: L layers of sample-and-mean-aggregate.
-// Forward returns a matrix owned by the encoder, valid until its next
-// Forward.
+// Each layer draws its neighbour samples once per (graph, policy
+// version), where the version is the number of optimizer steps its
+// weights have taken (nn.Param.Steps), and reuses them on every Forward
+// until either changes. Between two optimizer steps the encoder is thus
+// a pure function of (graph, features): a training pass re-forwards
+// exactly the samples its transitions were picked with. Forward returns
+// a matrix owned by the encoder, valid until its next Forward.
 type SAGE struct {
 	layers []*sageLayer
 	// P is the per-node neighbour sample size p (§5.3.2); 0 = all.
@@ -149,11 +158,9 @@ func sampleInto(dst, neigh []int, p int, rng *rand.Rand, perm []int) []int {
 	return dst
 }
 
-// Forward implements Encoder.
-func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
-	if x.R != g.N {
-		panic(fmt.Sprintf("gnn: %d feature rows for %d nodes", x.R, g.N))
-	}
+// draw samples l's neighbours for g at its weights' current version,
+// node by node in ID order.
+func (s *SAGE) draw(l *sageLayer, g *Graph) {
 	maxDeg := 0
 	for _, ns := range g.Neigh {
 		maxDeg = max(maxDeg, len(ns))
@@ -161,35 +168,46 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 	if len(s.perm) < maxDeg {
 		s.perm = make([]int, maxDeg)
 	}
+	if cap(l.samples) < g.N {
+		l.samples = make([][]int, g.N)
+		l.counts = make([]float64, g.N)
+	}
+	l.g, l.drawnAt = g, l.w.Steps
+	l.samples, l.counts = l.samples[:g.N], l.counts[:g.N]
+	l.sampled = l.sampled[:0]
+	for i := 0; i < g.N; i++ {
+		// Each node's samples are a capped window of one backing store;
+		// a window cut before the store grew keeps its values.
+		start := len(l.sampled)
+		l.sampled = sampleInto(l.sampled, g.Neigh[i], s.P, s.rng, s.perm)
+		l.samples[i] = l.sampled[start:len(l.sampled):len(l.sampled)]
+		l.counts[i] = float64(len(l.samples[i]) + 1)
+	}
+}
+
+// Forward implements Encoder.
+func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
+	if x.R != g.N {
+		panic(fmt.Sprintf("gnn: %d feature rows for %d nodes", x.R, g.N))
+	}
 	h := x
 	for _, l := range s.layers {
-		l.g, l.in = g, h
-		if cap(l.samples) < g.N {
-			l.samples = make([][]int, g.N)
-			l.counts = make([]float64, g.N)
+		if l.g != g || l.drawnAt != l.w.Steps {
+			s.draw(l, g)
 		}
-		l.samples, l.counts = l.samples[:g.N], l.counts[:g.N]
-		l.sampled = l.sampled[:0]
+		l.in = h
 		l.agg = nn.Reuse(l.agg, g.N, h.C)
 		agg := l.agg
 		for i := 0; i < g.N; i++ {
-			// Each node's samples are a capped window of one backing
-			// store; a window cut before the store grew keeps its values.
-			start := len(l.sampled)
-			l.sampled = sampleInto(l.sampled, g.Neigh[i], s.P, s.rng, s.perm)
-			ns := l.sampled[start:len(l.sampled):len(l.sampled)]
-			l.samples[i] = ns
-			cnt := float64(len(ns) + 1)
-			l.counts[i] = cnt
 			row := agg.Row(i)
 			copy(row, h.Row(i))
-			for _, j := range ns {
+			for _, j := range l.samples[i] {
 				for c, v := range h.Row(j) {
 					row[c] += v
 				}
 			}
 			for c := range row {
-				row[c] /= cnt
+				row[c] /= l.counts[i]
 			}
 		}
 		l.z = nn.Reuse(l.z, g.N, l.w.Val.C)

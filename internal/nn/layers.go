@@ -11,6 +11,9 @@ type Param struct {
 	Name string
 	Val  *Mat
 	Grad *Mat
+	// Steps counts the optimizer steps applied to Val: the parameter's
+	// policy version. A direct write to Val does not advance it.
+	Steps int
 }
 
 // ZeroGrad clears the accumulated gradient.
@@ -211,13 +214,15 @@ func NewAdam(lr float64) *Adam {
 		m: map[*Param][]float64{}, v: map[*Param][]float64{}}
 }
 
-// Step applies one Adam update to the params from their gradients, then
-// leaves gradients untouched (callers usually ZeroGrad afterwards).
+// Step applies one Adam update to the params from their gradients and
+// advances each one's Steps, then leaves gradients untouched (callers
+// usually ZeroGrad afterwards).
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
+		p.Steps++
 		m, ok := a.m[p]
 		if !ok {
 			m = make([]float64, len(p.Val.Data))

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,6 +62,42 @@ func TestA2CUpdateSteadyStateAllocFree(t *testing.T) {
 	agent.Update(batch) // size buffers and the optimizer state
 	if n := testing.AllocsPerRun(20, func() { agent.Update(batch) }); n != 0 {
 		t.Fatalf("steady-state A2C.Update allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestA2CUpdateIgnoresExtraProbs requires Update on a fixed batch to
+// leave bit-identical parameters whether or not inference ran before
+// it: at one policy version the encoder's neighbour samples do not
+// depend on how many forwards came first.
+func TestA2CUpdateIgnoresExtraProbs(t *testing.T) {
+	g := clusterGraph(4, 4)
+	batch := randomBatch(rand.New(rand.NewSource(3)), g, 8)
+	plain, probed := dcgbeAgent(4), dcgbeAgent(4)
+	for round := 0; round < 2; round++ {
+		for _, tr := range batch {
+			probed.Probs(g, tr.X, tr.Mask)
+		}
+		plain.Update(batch)
+		probed.Update(batch)
+	}
+	for i, p := range plain.params() {
+		q := probed.params()[i]
+		for j := range p.Val.Data {
+			if math.Float64bits(p.Val.Data[j]) != math.Float64bits(q.Val.Data[j]) {
+				t.Fatalf("%s[%d] = %v, %v with extra Probs calls", p.Name, j, p.Val.Data[j], q.Val.Data[j])
+			}
+		}
+	}
+}
+
+func TestA2CProbsSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := clusterGraph(4, 4)
+	agent := dcgbeAgent(2)
+	tr := randomBatch(rng, g, 1)[0]
+	agent.Probs(g, tr.X, tr.Mask) // size buffers and draw the samples
+	if n := testing.AllocsPerRun(50, func() { agent.Probs(g, tr.X, tr.Mask) }); n != 0 {
+		t.Fatalf("steady-state A2C.Probs allocates %.1f/op, want 0", n)
 	}
 }
 

@@ -54,8 +54,8 @@ type A2C struct {
 
 	opt *nn.Adam
 
-	// Reused across calls: the trainables, and Update's per-transition
-	// scratch.
+	// Reused across calls: the trainables, the distribution Probs
+	// returns, and Update's per-transition scratch.
 	ps             []*nn.Param
 	returns, probs []float64
 	pooled, dV     *nn.Mat
@@ -83,17 +83,12 @@ func (a *A2C) params() []*nn.Param {
 	return a.ps
 }
 
-// logits computes per-node action logits for the state. The slice is
-// the actor's output buffer, valid until its next Forward.
-func (a *A2C) logits(g *gnn.Graph, x *nn.Mat) []float64 {
-	emb := a.Enc.Forward(g, x)
-	return a.Actor.Forward(emb).Data // N×1: one logit per node
-}
-
-// Probs returns the masked action distribution π(a|s), in a new slice
-// the caller owns.
+// Probs returns the masked action distribution π(a|s) in a buffer the
+// agent owns, valid until its next Probs or Update.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
-	return nn.SoftmaxRow(a.logits(g, x), mask)
+	logits := a.Actor.Forward(a.Enc.Forward(g, x)).Data // N×1: one logit per node
+	a.probs = grow(a.probs, len(logits))
+	return nn.SoftmaxRowInto(a.probs, logits, mask)
 }
 
 // Value estimates V(s) from the mean-pooled embedding.
