@@ -34,14 +34,14 @@ var dispatchGoldens = []struct {
 		"9f345a193627bef1ac1fd2cda7334f37df239ebdc946d7f8f811eab74ae4d065",
 		"b66b665a0999db891a359518974cf2c0ae6550e4a8bf37f5f045ac35544a9226"},
 	{"dsaco",
-		"6e111ef4ea43cc13cea880723e5073fd144b2eba88f516b40b9fe43c5b3b6ed9",
-		"41562c55bdae8048b87f0ad50cb4f0f05efcadf876e5d3e1848e7f54e138fb24"},
+		"0266f7366c5e5172ce3315abdba5c6e542236201681dcb5fe23c0617f2ffd13e",
+		"37bcbbb57946ea790eaa3821fa6a695afb4c64ea581f7d78b2650c4ff5a22db5"},
 	{"tango",
 		"c74161d41ec97aef99a237c843fe07fe3f863d82600d42fd30cc12a580d6840b",
 		"f1bb66005cf86fbde39724033a3acf1e1b0b233b0f71289483cd92792dd0f039"},
 	{"tango+scoring",
-		"16bf7b00f354a7ab8aa0169099fec6d71830360863e7890140d51ebd3a3a5371",
-		"bf7fbd2eecd5327067aeb5d800dcf62c424f637d172250bbf0b081b66700d70f"},
+		"0b1dd8a87dc3c5fb7b83825d11f5255aed2f155e0c0adef021438abefc250f2f",
+		"592dde5ef82c28e5a8c40e9408c42f3a7730e629122a169d6c28289a56e774d6"},
 	{"tango+load-greedy",
 		"d3c9a11b43d1f2d580317e762557405a5fe3d6e2ccd5ee855d175cd0c765946e",
 		"774319a026351fd126782283d8e11f97a111e1bd953e68558706fed1143a9e27"},

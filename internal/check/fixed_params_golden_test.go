@@ -26,11 +26,11 @@ var fixedParamGoldens = []struct {
 	stream, report string
 }{
 	{"chaos-all+defrag",
-		"9ef8f64bef0f6e24b3e3e72c70eb6a5e5c5eaae003dcfedde6323c3419a1510b",
-		"3af32e6bc9f18faca85e581af42a2010ffa229234239ce50f75def7eee40f5be"},
+		"689567f5bf3d677f8537c62e5c1fd2e64a264a96458583921ade52a11e05fb41",
+		"52ee30552035228cf6361a7e402f3b01ac65239524ea83e012ce91c3beb938a0"},
 	{"dcgbe-dualspace",
-		"935d1dd18bf7982a86bfea74fe1500e1a60e8d5d23f4f29f2a5c15d3de779ada",
-		"93cff30bd904e30a4ab58092bbc0c24a58f09ddd8ba4cef0dc0d42ba1733f258"},
+		"2fa8c5833ee16caab3a22e71348f5e74a8c5e3ca41432da6eafd21d38b854dda",
+		"be7236e429b355a7328e97030dad6f24038041ca3a6973cd0bf3ddfc0e94e34f"},
 }
 
 func fixedParamRun(t *testing.T, name string) (stream, report string) {
