@@ -77,12 +77,10 @@ type sageLayer struct {
 	w    *nn.Param
 	relu nn.ReLU
 	// samples[i] are the neighbours node i aggregates, drawn for graph g
-	// when w had taken drawnAt optimizer steps; counts[i] is
-	// len(samples[i])+1. sampled is the samples' backing store.
+	// at w.Steps == drawnAt, in windows of the backing store sampled.
 	g       *Graph
 	drawnAt int
 	samples [][]int
-	counts  []float64
 	sampled []int
 	in      *nn.Mat
 	agg     *nn.Mat // cached aggregated input
@@ -93,12 +91,10 @@ type sageLayer struct {
 
 // SAGE is the GraphSAGE encoder: L layers of sample-and-mean-aggregate.
 // Each layer draws its neighbour samples once per (graph, policy
-// version), where the version is the number of optimizer steps its
-// weights have taken (nn.Param.Steps), and reuses them on every Forward
-// until either changes. Between two optimizer steps the encoder is thus
-// a pure function of (graph, features): a training pass re-forwards
-// exactly the samples its transitions were picked with. Forward returns
-// a matrix owned by the encoder, valid until its next Forward.
+// version), the version being its weights' nn.Param.Steps, so between
+// two optimizer steps Forward is a pure function of (graph, features).
+// Forward returns a matrix owned by the encoder, valid until its next
+// Forward.
 type SAGE struct {
 	layers []*sageLayer
 	// P is the per-node neighbour sample size p (§5.3.2); 0 = all.
@@ -161,27 +157,20 @@ func sampleInto(dst, neigh []int, p int, rng *rand.Rand, perm []int) []int {
 // draw samples l's neighbours for g at its weights' current version,
 // node by node in ID order.
 func (s *SAGE) draw(l *sageLayer, g *Graph) {
-	maxDeg := 0
-	for _, ns := range g.Neigh {
-		maxDeg = max(maxDeg, len(ns))
-	}
-	if len(s.perm) < maxDeg {
-		s.perm = make([]int, maxDeg)
-	}
 	if cap(l.samples) < g.N {
 		l.samples = make([][]int, g.N)
-		l.counts = make([]float64, g.N)
 	}
 	l.g, l.drawnAt = g, l.w.Steps
-	l.samples, l.counts = l.samples[:g.N], l.counts[:g.N]
-	l.sampled = l.sampled[:0]
-	for i := 0; i < g.N; i++ {
+	l.samples, l.sampled = l.samples[:g.N], l.sampled[:0]
+	for i, neigh := range g.Neigh {
+		if len(s.perm) < len(neigh) {
+			s.perm = make([]int, len(neigh))
+		}
 		// Each node's samples are a capped window of one backing store;
 		// a window cut before the store grew keeps its values.
 		start := len(l.sampled)
-		l.sampled = sampleInto(l.sampled, g.Neigh[i], s.P, s.rng, s.perm)
+		l.sampled = sampleInto(l.sampled, neigh, s.P, s.rng, s.perm)
 		l.samples[i] = l.sampled[start:len(l.sampled):len(l.sampled)]
-		l.counts[i] = float64(len(l.samples[i]) + 1)
 	}
 }
 
@@ -206,8 +195,9 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 					row[c] += v
 				}
 			}
+			cnt := float64(len(l.samples[i]) + 1)
 			for c := range row {
-				row[c] /= l.counts[i]
+				row[c] /= cnt
 			}
 		}
 		l.z = nn.Reuse(l.z, g.N, l.w.Val.C)
@@ -238,7 +228,7 @@ func (s *SAGE) Backward(dOut *nn.Mat) {
 		dIn := l.dIn
 		dIn.Zero()
 		for i := 0; i < l.g.N; i++ {
-			inv := 1.0 / l.counts[i]
+			inv := 1.0 / float64(len(l.samples[i])+1)
 			src := dAgg.Row(i)
 			self := dIn.Row(i)
 			for c, v := range src {

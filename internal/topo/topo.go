@@ -262,17 +262,15 @@ func (b *Builder) Build() *Topology {
 		t.distKm[i] = row
 	}
 	t.nbrs = make([][]ClusterID, n)
-	backing := make([]ClusterID, near)
-	off := 0
+	backing := make([]ClusterID, 0, near)
 	for i, row := range t.distKm {
-		start := off
+		start := len(backing)
 		for j, d := range row {
 			if j != i && d <= GeoRadiusKm {
-				backing[off] = t.Clusters[j].ID
-				off++
+				backing = append(backing, t.Clusters[j].ID)
 			}
 		}
-		t.nbrs[i] = backing[start:off:off]
+		t.nbrs[i] = backing[start:len(backing):len(backing)]
 	}
 	hasCentral := false
 	for _, c := range t.Clusters {
