@@ -272,31 +272,16 @@ func (s *Scheduler) buildState(r *engine.Request) (*nn.Mat, []bool, bool) {
 		}
 	}
 	if !anyValid {
-		if s.AllowFn != nil {
-			// Keep the geographic restriction even when everything is
-			// busy: allowed nodes only, ignoring the fit filter.
-			anyAllowed := false
-			for i, n := range s.nodes {
-				if !n.Down() && s.AllowFn(r, n) {
-					mask[i] = true
-					anyAllowed = true
-				}
+		// Fall back to every live node the geographic restriction (if
+		// any) allows, ignoring the fit filter; the request queues there.
+		for i, n := range s.nodes {
+			if !n.Down() && (s.AllowFn == nil || s.AllowFn(r, n)) {
+				mask[i] = true
+				anyValid = true
 			}
-			if !anyAllowed {
-				return nil, nil, false
-			}
-		} else {
-			// Fall back to "any live node"; the request will queue there.
-			anyUp := false
-			for i, n := range s.nodes {
-				if !n.Down() {
-					mask[i] = true
-					anyUp = true
-				}
-			}
-			if !anyUp {
-				return nil, nil, false
-			}
+		}
+		if !anyValid {
+			return nil, nil, false
 		}
 	}
 	return x, mask, true

@@ -16,9 +16,6 @@ type Param struct {
 	Steps int
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // Layer is one differentiable stage: Forward caches what Backward needs;
 // Backward consumes dOut (∂L/∂output) and returns ∂L/∂input while
 // accumulating parameter gradients.
@@ -216,7 +213,7 @@ func NewAdam(lr float64) *Adam {
 
 // Step applies one Adam update to the params from their gradients and
 // advances each one's Steps, then leaves gradients untouched (callers
-// usually ZeroGrad afterwards).
+// usually zero them afterwards).
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))

@@ -179,7 +179,7 @@ func TestGradCheckMLP(t *testing.T) {
 	}
 	// Analytic gradients.
 	for _, p := range m.Params() {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	y := m.Forward(x)
 	dOut := NewMat(y.R, y.C)
@@ -215,7 +215,7 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 			target.Set(i, 0, 2*a-b)
 		}
 		for _, p := range m.Params() {
-			p.ZeroGrad()
+			p.Grad.Zero()
 		}
 		y := m.Forward(x)
 		lossV := 0.0

@@ -251,15 +251,10 @@ func NewSAC(enc gnn.Encoder, embDim int, rng *rand.Rand) *SAC {
 		Enc: enc, Actor: mk(), Q1: mk(), Q2: mk(),
 		optPi: nn.NewAdam(LearningRate), optQ: nn.NewAdam(LearningRate),
 	}
-	s.T1 = cloneMLP(s.Q1, embDim, rng)
-	s.T2 = cloneMLP(s.Q2, embDim, rng)
+	s.T1, s.T2 = mk(), mk()
 	copyParams(s.T1, s.Q1)
 	copyParams(s.T2, s.Q2)
 	return s
-}
-
-func cloneMLP(src *nn.MLP, embDim int, rng *rand.Rand) *nn.MLP {
-	return nn.NewMLP(rng, embDim, 256, 128, 32, 1)
 }
 
 func copyParams(dst, src *nn.MLP) {
@@ -278,15 +273,9 @@ func polyak(dst, src *nn.MLP, tau float64) {
 	}
 }
 
-// Probs returns the masked SAC policy.
+// Probs returns the masked SAC policy, in a new slice the caller owns.
 func (s *SAC) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
-	emb := s.Enc.Forward(g, x)
-	out := s.Actor.Forward(emb)
-	logits := make([]float64, g.N)
-	for i := range logits {
-		logits[i] = out.At(i, 0)
-	}
-	return nn.SoftmaxRow(logits, mask)
+	return nn.SoftmaxRow(s.Actor.Forward(s.Enc.Forward(g, x)).Data, mask) // N×1 logits
 }
 
 // Update performs one SAC step over consecutive transitions (each next
@@ -310,12 +299,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 		}
 		// Target: r + γ Σ_a' π(a'|s') (minQ'(s',a') − α log π(a'|s')).
 		nextEmb := s.Enc.Forward(next.Graph, next.X)
-		nextOut := s.Actor.Forward(nextEmb)
-		nl := make([]float64, next.Graph.N)
-		for j := range nl {
-			nl[j] = nextOut.At(j, 0)
-		}
-		np := nn.SoftmaxRow(nl, next.Mask)
+		np := nn.SoftmaxRow(s.Actor.Forward(nextEmb).Data, next.Mask)
 		t1 := s.T1.Forward(nextEmb)
 		t2 := s.T2.Forward(nextEmb)
 		target := 0.0
@@ -353,12 +337,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 	}
 	for _, tr := range batch {
 		emb := s.Enc.Forward(tr.Graph, tr.X)
-		out := s.Actor.Forward(emb)
-		logits := make([]float64, tr.Graph.N)
-		for j := range logits {
-			logits[j] = out.At(j, 0)
-		}
-		probs := nn.SoftmaxRow(logits, tr.Mask)
+		probs := nn.SoftmaxRow(s.Actor.Forward(emb).Data, tr.Mask)
 		q1 := s.Q1.Forward(emb)
 		q2 := s.Q2.Forward(emb)
 		// L = Σ_a π(a)(α log π(a) − minQ(a)); dL/dlogit via softmax chain.
