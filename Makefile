@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-budget race bench bench-trace check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke ab-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
+.PHONY: all build test test-budget race bench bench-trace check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke ab-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos seed-sweep
 
 all: check
 
@@ -96,6 +96,11 @@ chaos-smoke:
 # sweep). `make race` covers everything but takes far longer.
 race-chaos:
 	$(GO) test -race -short ./internal/chaos ./internal/engine ./internal/check
+
+# Fig. 11(c)/(d), 12 and 13 of the quick suite at seeds 1..5, with each
+# value's mean and min–max (about half an hour; not part of `check`).
+seed-sweep:
+	sh scripts/seed_sweep.sh
 
 clean:
 	$(GO) clean ./...
