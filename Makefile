@@ -98,7 +98,7 @@ race-chaos:
 	$(GO) test -race -short ./internal/chaos ./internal/engine ./internal/check
 
 # Fig. 11(c)/(d), 12 and 13 of the quick suite at seeds 1..5, with each
-# value's mean and min–max (about half an hour; not part of `check`).
+# value's mean and min–max (30 to 45 minutes; not part of `check`).
 seed-sweep:
 	sh scripts/seed_sweep.sh
 

@@ -3,7 +3,7 @@
 # experiments at seeds 1..5 and print every reported value's mean and
 # min–max across the seeds (scripts/seedsweep). `make seed-sweep` runs
 # this; it is not part of Tier-1 or scripts/check.sh, as the 20 runs
-# take about half an hour on a 2-vCPU host.
+# take 30 to 45 minutes on a 2-vCPU host.
 #
 # Usage: sh scripts/seed_sweep.sh [report-dir]
 # With a report-dir, the 20 suite reports (-report JSON) are kept there.
