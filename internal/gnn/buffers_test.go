@@ -182,7 +182,7 @@ func TestSAGEForwardPureBetweenSteps(t *testing.T) {
 func TestSAGEResamplesAfterStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	s := NewSAGE(rng, 3, 4, 8, 6)
-	g := hubGraph(17) // node 0 has 16 neighbours
+	g := hubGraph(17) // node 0 neighbours every other node
 	x := feat(rng, 17, 4)
 	hubSamples := func() [][]int {
 		var out [][]int
