@@ -53,13 +53,17 @@ verify: vet race replay-smoke
 replay-smoke:
 	sh scripts/replay_smoke.sh
 
-# 15-second fuzz budget over the native fuzz targets (5 s each): the
-# MCNF differential oracle, the trace CSV round-trip, and the chaos
-# survival oracle under fuzzer-chosen fault programs.
+# 25-second fuzz budget over the native fuzz targets (5 s each): the
+# MCNF differential oracle, the trace CSV round-trip, the chaos
+# survival oracle under fuzzer-chosen fault programs, the AVX2 row
+# kernel against its Go loop, and incremental DCG-BE inference against
+# a full forward.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMinCostFlow -fuzztime 5s ./internal/flow
 	$(GO) test -run xxx -fuzz FuzzTraceCSV -fuzztime 5s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzChaosProgram -fuzztime 5s ./internal/check
+	$(GO) test -run xxx -fuzz FuzzAccumRow -fuzztime 5s ./internal/nn
+	$(GO) test -run xxx -fuzz FuzzIncrementalProbs -fuzztime 5s ./internal/rl
 
 # A/B gate smoke: two short perfbench runs as one pair must pass
 # scripts/benchcmp with identical simulated metrics (the injected

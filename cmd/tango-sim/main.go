@@ -21,6 +21,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/dcgbe"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/perf"
@@ -305,6 +306,17 @@ func main() {
 				ps.AllocBytes, ps.AllocObjects)
 		}
 		fmt.Println(pt.String())
+		if be, ok := sys.BEScheduler().(*dcgbe.Scheduler); ok && be.Decisions > 0 {
+			// Work counts, not wall time, but printed only here: no
+			// digest or report sees them.
+			bt := metrics.NewTable("DCG-BE inference work", "metric", "value")
+			bt.AddRowF("picks", be.Decisions)
+			bt.AddRowF("served from a warm cache", be.CacheHits)
+			bt.AddRowF("actor rows recomputed", be.RowsRecomputed)
+			bt.AddRowF("share of full forwards", fmt.Sprintf("%.3f",
+				float64(be.RowsRecomputed)/float64(be.Decisions*int64(len(sys.Engine.Nodes())))))
+			fmt.Println(bt.String())
+		}
 	}
 
 	if *series {

@@ -401,6 +401,9 @@ func (s *System) LCSchedulerName() string { return s.lcSched.Name() }
 // BESchedulerName reports the BE algorithm in use.
 func (s *System) BESchedulerName() string { return s.beSched.Name() }
 
+// BEScheduler returns the BE scheduler in use.
+func (s *System) BEScheduler() sched.Scheduler { return s.beSched }
+
 func (s *System) onOutcome(o engine.Outcome) {
 	s.Metrics.observe(o)
 	if o.Req.Class == trace.LC {

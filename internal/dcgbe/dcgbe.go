@@ -59,6 +59,9 @@ type Agent interface {
 // neighbour samples once per policy version (the encoder's optimizer
 // step count), so the picks of one training interval share the samples
 // that train re-forwards them with, and training moves to a fresh draw.
+// Each BE type's state is rewritten in one reused matrix, which lets
+// A2C's per-input cache recompute only the nodes whose state changed
+// since that type's previous pick.
 type Scheduler struct {
 	Engine *engine.Engine
 	Agent  Agent
@@ -83,10 +86,18 @@ type Scheduler struct {
 	// longer (subsampled) intervals so per-decision cost stays flat.
 	trainEvery int
 
-	name    string
-	graph   *gnn.Graph
-	nodes   []*engine.Node
-	index   map[topo.NodeID]int
+	name  string
+	graph *gnn.Graph
+	nodes []*engine.Node
+	index map[topo.NodeID]int
+	// feats holds one state matrix per request demand (one per BE type),
+	// and mask the context filter, both rewritten on every pick.
+	feats []demandState
+	mask  []bool
+	// picks counts the actions of the current training interval, and
+	// pending holds the ones its batch takes, with their own copies of
+	// the state.
+	picks   int
 	pending []pendingReward
 	// completedWork accumulates Σ (cpu/cap + mem/cap) of BE completions
 	// since the last training interval (the r_long numerator).
@@ -94,13 +105,25 @@ type Scheduler struct {
 	maxCPU        float64
 	maxMem        float64
 	// Updates counts trainings; Decisions counts scheduling actions.
-	// CacheHits is always 0: every decision runs its own inference. It
-	// remains for the benchmark's dcgbe.cache_hit_ratio.
-	Updates   int64
-	Decisions int64
-	CacheHits int64
+	// CacheHits counts the decisions whose inference was served from a
+	// warm cache, recomputing only the nodes its state change reached,
+	// rather than a full forward over every node; RowsRecomputed counts
+	// the node rows the actor computed over all decisions (a full
+	// forward is one per node). Both stay 0 unless the agent is the A2C
+	// NewVariant built.
+	Updates        int64
+	Decisions      int64
+	CacheHits      int64
+	RowsRecomputed int64
 
+	a2c *rl.A2C    // the A2C agent NewVariant built, for its counters
 	rng *rand.Rand // the pick draw
+}
+
+// demandState is the reused state matrix for one request demand.
+type demandState struct {
+	cpu, mem int64
+	x        *nn.Mat
 }
 
 type pendingReward struct {
@@ -137,11 +160,12 @@ func NewVariant(e *engine.Engine, v Variant, seed int64) *Scheduler {
 		panic(fmt.Sprintf("dcgbe: unknown encoder %q", v.Encoder))
 	}
 	var ag Agent
+	var a2c *rl.A2C
 	agName := v.Agent
 	switch v.Agent {
 	case "", "a2c":
-		ag = rl.NewA2C(enc, EmbDim, rng)
-		agName = "a2c"
+		a2c = rl.NewA2C(enc, EmbDim, rng)
+		ag, agName = a2c, "a2c"
 	case "sac":
 		ag = rl.NewSAC(enc, EmbDim, rng)
 	default:
@@ -157,6 +181,7 @@ func NewVariant(e *engine.Engine, v Variant, seed int64) *Scheduler {
 	s := &Scheduler{
 		Engine: e, Agent: ag, Eta: 1, trainEvery: 32,
 		name:  name,
+		a2c:   a2c,
 		index: map[topo.NodeID]int{},
 		rng:   rand.New(rand.NewSource(seed + 7)),
 	}
@@ -210,9 +235,21 @@ func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]in
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return s.name }
 
-// stateFeatures builds the N×7 state matrix for a request demand.
+// stateFeatures writes the N×7 state matrix for a request demand into
+// that demand's reused matrix, allocated on its first pick, and returns
+// it; it is valid until the next call for the same demand.
 func (s *Scheduler) stateFeatures(cpuDem, memDem int64) *nn.Mat {
-	x := nn.NewMat(len(s.nodes), FeatureDim)
+	var x *nn.Mat
+	for _, d := range s.feats {
+		if d.cpu == cpuDem && d.mem == memDem {
+			x = d.x
+			break
+		}
+	}
+	if x == nil {
+		x = nn.NewMat(len(s.nodes), FeatureDim)
+		s.feats = append(s.feats, demandState{cpuDem, memDem, x})
+	}
 	for i, n := range s.nodes {
 		// "Available" resources net of queued and in-transit commitments
 		// — the state the paper's Prometheus/state-storage pipeline
@@ -245,11 +282,15 @@ func (s *Scheduler) Pick(r *engine.Request, _ []*engine.Node) (topo.NodeID, bool
 	s.Prof.Enter(perf.PhaseBEInfer)
 	probs := s.Agent.Probs(s.graph, x, mask)
 	s.Prof.Exit(perf.PhaseBEInfer)
+	if s.a2c != nil {
+		s.CacheHits, s.RowsRecomputed = s.a2c.WarmHits, s.a2c.ActorRows
+	}
 	return s.record(x, mask, s.choose(probs))
 }
 
-// buildState assembles the feature matrix and the context-filter mask.
-// ok is false when no node may take the request at all.
+// buildState assembles the feature matrix and the context-filter mask,
+// both reused (see stateFeatures). ok is false when no node may take
+// the request at all.
 func (s *Scheduler) buildState(r *engine.Request) (*nn.Mat, []bool, bool) {
 	demand := r.SType.MinDemand
 	x := s.stateFeatures(demand.MilliCPU, demand.MemoryMiB)
@@ -257,9 +298,13 @@ func (s *Scheduler) buildState(r *engine.Request) (*nn.Mat, []bool, bool) {
 		return x, nil, true
 	}
 	// Policy context filtering: mask nodes that cannot host the request.
-	mask := make([]bool, len(s.nodes))
+	if s.mask == nil {
+		s.mask = make([]bool, len(s.nodes))
+	}
+	mask := s.mask
 	anyValid := false
 	for i, n := range s.nodes {
+		mask[i] = false
 		if n.Down() {
 			continue
 		}
@@ -292,18 +337,37 @@ func (s *Scheduler) buildState(r *engine.Request) (*nn.Mat, []bool, bool) {
 // drawn value.
 func (s *Scheduler) choose(probs []float64) int { return rl.Sample(s.rng, probs) }
 
-// record books the transition, trains on schedule, and returns the pick.
+// record books the transition when the training batch takes it, trains
+// on schedule, and returns the pick.
 func (s *Scheduler) record(x *nn.Mat, mask []bool, a int) (topo.NodeID, bool) {
 	s.Decisions++
 	chosen := s.nodes[a]
-	s.pending = append(s.pending, pendingReward{
-		tr:     rl.Transition{Graph: s.graph, X: x, Mask: mask, Action: a},
-		rShort: s.shortReward(chosen),
-	})
-	if len(s.pending) >= s.trainEvery {
+	if s.batchTakes(s.picks) {
+		tr := rl.Transition{Graph: s.graph, X: x.Clone(), Action: a}
+		if mask != nil {
+			tr.Mask = append([]bool(nil), mask...)
+		}
+		s.pending = append(s.pending, pendingReward{tr: tr, rShort: s.shortReward(chosen)})
+	}
+	s.picks++
+	if s.picks >= s.trainEvery {
 		s.train()
 	}
 	return chosen.ID, true
+}
+
+// batchTakes reports whether the training batch takes the interval's
+// k-th pick (from 0): every pick when an interval fits in one batch,
+// otherwise the stride subsample of maxTrainBatch picks. Training fires
+// after exactly trainEvery picks, so the subsample is known at pick
+// time, and the picks it skips keep no copy of their state.
+func (s *Scheduler) batchTakes(k int) bool {
+	if s.trainEvery <= maxTrainBatch {
+		return true
+	}
+	n := len(s.pending)
+	stride := float64(s.trainEvery) / float64(maxTrainBatch)
+	return n < maxTrainBatch && k == int(float64(n)*stride)
 }
 
 // shortReward is e^-max(Σ cpu_q / cap, Σ mem_q / cap) over the requests
@@ -346,25 +410,17 @@ func (s *Scheduler) NotifyOutcome(o engine.Outcome) {
 		float64(d.MemoryMiB)/float64(n.Capacity.MemoryMiB)
 }
 
-// train finalizes rewards for the pending interval and updates the agent.
+// train finalizes rewards for the picks the interval's batch took and
+// updates the agent.
 func (s *Scheduler) train() {
+	s.picks = 0
 	if len(s.pending) == 0 {
 		return
 	}
 	rLong := 1 - math.Exp(-s.completedWork)
 	s.completedWork = 0
-	src := s.pending
-	if len(src) > maxTrainBatch {
-		// Stride-subsample the interval to bound the training cost.
-		stride := float64(len(src)) / float64(maxTrainBatch)
-		sampled := make([]pendingReward, 0, maxTrainBatch)
-		for i := 0; i < maxTrainBatch; i++ {
-			sampled = append(sampled, src[int(float64(i)*stride)])
-		}
-		src = sampled
-	}
-	batch := make([]rl.Transition, len(src))
-	for i, p := range src {
+	batch := make([]rl.Transition, len(s.pending))
+	for i, p := range s.pending {
 		p.tr.Reward = p.rShort + float64(s.Eta*rLong)
 		batch[i] = p.tr
 	}

@@ -1,12 +1,17 @@
 package dcgbe
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/gnn"
+	"repro/internal/nn"
 	"repro/internal/res"
+	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -313,5 +318,87 @@ func TestChooseNeverPicksMaskedNode(t *testing.T) {
 	}
 	if fellBack == 0 {
 		t.Fatal("no draw exercised the fallback")
+	}
+}
+
+// recorder wraps an agent and keeps a copy of every inference input and
+// of every batch handed to Update.
+type recorder struct {
+	inner   Agent
+	xs      []*nn.Mat
+	masks   [][]bool
+	batches [][]rl.Transition
+}
+
+func (r *recorder) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
+	r.xs = append(r.xs, x.Clone())
+	r.masks = append(r.masks, slices.Clone(mask))
+	return r.inner.Probs(g, x, mask)
+}
+
+func (r *recorder) Update(batch []rl.Transition) rl.Stats {
+	cp := make([]rl.Transition, len(batch))
+	for i, tr := range batch {
+		cp[i] = tr
+		cp[i].X, cp[i].Mask = tr.X.Clone(), slices.Clone(tr.Mask)
+	}
+	r.batches = append(r.batches, cp)
+	return r.inner.Update(batch)
+}
+
+// TestTrainBatchIsStrideSubsample requires the batch a fleet-sized
+// interval hands to Update to be, bit for bit, the stride subsample of
+// all its picks that train used to take at the interval's end: the
+// state each of those picks saw, its mask, action and reward.
+func TestTrainBatchIsStrideSubsample(t *testing.T) {
+	sm, e, _ := env(20) // 40 workers: intervals of 4N = 160 picks
+	s := New(e, 12)
+	if s.trainEvery != 160 {
+		t.Fatalf("trainEvery = %d, want 160", s.trainEvery)
+	}
+	rec := &recorder{inner: s.Agent}
+	s.Agent = rec
+	var acts []int
+	var rShort []float64
+	for id := int64(0); id < 2*160; id++ {
+		if id%160 == 159 {
+			s.completedWork = 0.25 * float64(1+id/160)
+		}
+		r := e.NewRequest(trace.Request{ID: id, Type: trace.TypeID(5 + id%5), Class: trace.BE, Cluster: topo.ClusterID(id % 20)})
+		nid, ok := s.Pick(r, nil)
+		if !ok {
+			t.Fatal("pick failed")
+		}
+		acts = append(acts, s.index[nid])
+		rShort = append(rShort, s.shortReward(e.Node(nid)))
+		e.Dispatch(r, nid)
+		sm.RunUntil(sm.Now() + 20*time.Millisecond)
+	}
+	if len(rec.batches) != 2 {
+		t.Fatalf("%d updates, want 2", len(rec.batches))
+	}
+	stride := float64(160) / float64(maxTrainBatch)
+	for b, batch := range rec.batches {
+		if len(batch) != maxTrainBatch {
+			t.Fatalf("batch %d has %d transitions, want %d", b, len(batch), maxTrainBatch)
+		}
+		rLong := 1 - math.Exp(-0.25*float64(1+b))
+		for i, tr := range batch {
+			k := 160*b + int(float64(i)*stride)
+			want := rShort[k] + float64(s.Eta*rLong)
+			switch {
+			case tr.Graph != s.graph || tr.Action != acts[k]:
+				t.Fatalf("batch %d item %d: graph or action %d, want pick %d's %d", b, i, tr.Action, k, acts[k])
+			case math.Float64bits(tr.Reward) != math.Float64bits(want):
+				t.Fatalf("batch %d item %d: reward %v, want %v", b, i, tr.Reward, want)
+			case !slices.Equal(tr.Mask, rec.masks[k]):
+				t.Fatalf("batch %d item %d: mask differs from pick %d's", b, i, k)
+			}
+			for j, v := range tr.X.Data {
+				if math.Float64bits(v) != math.Float64bits(rec.xs[k].Data[j]) {
+					t.Fatalf("batch %d item %d: state[%d] %v, pick %d saw %v", b, i, j, v, k, rec.xs[k].Data[j])
+				}
+			}
+		}
 	}
 }

@@ -226,3 +226,93 @@ func TestSAGESteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state SAGE.Backward allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestSAGEUsersInvertSamples requires each layer's user lists to hold,
+// ascending, exactly the nodes whose samples include the node, each
+// once per occurrence (hubGraph has duplicate edges), for every draw.
+func TestSAGEUsersInvertSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	s := NewSAGE(rng, 3, 4, 8, 6)
+	for _, g := range []*Graph{hubGraph(17), lineGraph(9), hubGraph(30)} {
+		s.Forward(g, feat(rng, g.N, 4))
+		for li, l := range s.layers {
+			for j := 0; j < g.N; j++ {
+				var want []int
+				for i, smp := range l.samples {
+					for _, k := range smp {
+						if k == j {
+							want = append(want, i)
+						}
+					}
+				}
+				if got := l.users[l.userOff[j]:l.userOff[j+1]]; !slices.Equal(got, want) {
+					t.Fatalf("n=%d layer %d node %d: users %v, want %v", g.N, li, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSAGEForwardDirtyMatchesForward mutates a few feature rows at a
+// time and requires every row ForwardDirty returns to equal Forward's
+// bit for bit, and every row it leaves out to equal the last full
+// output, for a three-layer encoder (two cached hidden layers).
+func TestSAGEForwardDirtyMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	s := NewSAGE(rng, 3, 4, 8, 8, 6)
+	g := hubGraph(40)
+	x := feat(rng, g.N, 4)
+	var c RowCache
+	var last *nn.Mat
+	for round := 0; round < 40; round++ {
+		if round > 0 {
+			for k := 0; k < round%4; k++ {
+				x.Set(rng.Intn(g.N), rng.Intn(4), rng.NormFloat64())
+			}
+		}
+		out, rows, full := s.ForwardDirty(&c, g, x)
+		if full != (round == 0) {
+			t.Fatalf("round %d: full = %v", round, full)
+		}
+		if round%4 == 0 && round > 0 && len(rows) != 0 {
+			t.Fatalf("round %d: %d rows computed for unchanged features", round, len(rows))
+		}
+		want := s.Forward(g, x)
+		for k, i := range rows {
+			for j, v := range out.Row(k) {
+				if math.Float64bits(v) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("round %d node %d col %d: %v, Forward %v", round, i, j, v, want.At(i, j))
+				}
+			}
+		}
+		for i := 0; last != nil && i < g.N; i++ {
+			if slices.Contains(rows, i) {
+				continue
+			}
+			for j, v := range last.Row(i) {
+				if math.Float64bits(v) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("round %d: node %d left out but its row changed", round, i)
+				}
+			}
+		}
+		last = want.Clone()
+	}
+}
+
+// TestGATSteadyStateAllocFree pins GAT's reused per-layer buffers: on
+// the 120-node hub graph its Forward used to allocate per node (726
+// allocations per call).
+func TestGATSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g := NewGAT(rng, 7, 32, 32)
+	gr := hubGraph(120)
+	x := feat(rng, gr.N, 7)
+	dOut := g.Forward(gr, x).Clone()
+	g.Backward(dOut)
+	if n := testing.AllocsPerRun(20, func() { g.Forward(gr, x) }); n != 0 {
+		t.Fatalf("steady-state GAT.Forward allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { g.Backward(dOut) }); n != 0 {
+		t.Fatalf("steady-state GAT.Backward allocates %.1f/op, want 0", n)
+	}
+}

@@ -82,8 +82,13 @@ type sageLayer struct {
 	drawnAt int
 	samples [][]int
 	sampled []int
-	in      *nn.Mat
-	agg     *nn.Mat // cached aggregated input
+	// users[userOff[j]:userOff[j+1]] are the nodes whose samples include
+	// node j, ascending and once per occurrence: the output rows that
+	// read input row j. They are rebuilt with the samples.
+	userOff, users []int
+
+	in  *nn.Mat
+	agg *nn.Mat // cached aggregated input
 	// Reused buffers: the pre-activation agg·W, W's per-call gradient,
 	// ∂L/∂agg and ∂L/∂in.
 	z, dw, dAgg, dIn *nn.Mat
@@ -101,6 +106,16 @@ type SAGE struct {
 	P    int
 	rng  *rand.Rand
 	perm []int // permutation scratch for sampling
+	// draws counts draw calls, so a RowCache can tell that the samples
+	// it was filled with are gone.
+	draws int
+	// ForwardDirty's scratch: a node mark per row, the rows to compute,
+	// their aggregated inputs and pre-activations, and a ReLU of its own
+	// so Forward's activations, which Backward reads, stay untouched.
+	mark   []bool
+	rows   []int
+	agg, z *nn.Mat
+	relu   nn.ReLU
 }
 
 // NewSAGE builds a GraphSAGE encoder with the given layer dimensions
@@ -155,11 +170,12 @@ func sampleInto(dst, neigh []int, p int, rng *rand.Rand, perm []int) []int {
 }
 
 // draw samples l's neighbours for g at its weights' current version,
-// node by node in ID order.
+// node by node in ID order, and lists each node's users.
 func (s *SAGE) draw(l *sageLayer, g *Graph) {
 	if cap(l.samples) < g.N {
 		l.samples = make([][]int, g.N)
 	}
+	s.draws++
 	l.g, l.drawnAt = g, l.w.Steps
 	l.samples, l.sampled = l.samples[:g.N], l.sampled[:0]
 	for i, neigh := range g.Neigh {
@@ -172,38 +188,180 @@ func (s *SAGE) draw(l *sageLayer, g *Graph) {
 		l.sampled = sampleInto(l.sampled, neigh, s.P, s.rng, s.perm)
 		l.samples[i] = l.sampled[start:len(l.sampled):len(l.sampled)]
 	}
+	// The reverse lists, counted then filled with userOff[j] as node j's
+	// cursor, which leaves it at node j+1's start; shifting by one
+	// restores the starts.
+	l.userOff = growInts(l.userOff, g.N+1)
+	clear(l.userOff)
+	for _, j := range l.sampled {
+		l.userOff[j+1]++
+	}
+	for j := 1; j <= g.N; j++ {
+		l.userOff[j] += l.userOff[j-1]
+	}
+	l.users = growInts(l.users, len(l.sampled))
+	for i, smp := range l.samples {
+		for _, j := range smp {
+			l.users[l.userOff[j]] = i
+			l.userOff[j]++
+		}
+	}
+	copy(l.userOff[1:], l.userOff[:g.N])
+	l.userOff[0] = 0
 }
 
-// Forward implements Encoder.
-func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
+// growInts returns buf resliced to n values, reallocating only when its
+// capacity is short.
+func growInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+// sync draws the samples of every layer that is stale for g, in layer
+// order: the draws Forward makes, since it checks each layer before
+// computing it and computing draws nothing.
+func (s *SAGE) sync(g *Graph, x *nn.Mat) {
 	if x.R != g.N {
 		panic(fmt.Sprintf("gnn: %d feature rows for %d nodes", x.R, g.N))
 	}
-	h := x
 	for _, l := range s.layers {
 		if l.g != g || l.drawnAt != l.w.Steps {
 			s.draw(l, g)
 		}
+	}
+}
+
+// aggregate writes the mean of h's row i and the rows of i's samples
+// into dst.
+func (l *sageLayer) aggregate(dst []float64, h *nn.Mat, i int) {
+	copy(dst, h.Row(i))
+	for _, j := range l.samples[i] {
+		for c, v := range h.Row(j) {
+			dst[c] += v
+		}
+	}
+	cnt := float64(len(l.samples[i]) + 1)
+	for c := range dst {
+		dst[c] /= cnt
+	}
+}
+
+// Forward implements Encoder.
+func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
+	s.sync(g, x)
+	h := x
+	for _, l := range s.layers {
 		l.in = h
 		l.agg = nn.Reuse(l.agg, g.N, h.C)
-		agg := l.agg
 		for i := 0; i < g.N; i++ {
-			row := agg.Row(i)
-			copy(row, h.Row(i))
-			for _, j := range l.samples[i] {
-				for c, v := range h.Row(j) {
-					row[c] += v
-				}
-			}
-			cnt := float64(len(l.samples[i]) + 1)
-			for c := range row {
-				row[c] /= cnt
-			}
+			l.aggregate(l.agg.Row(i), h, i)
 		}
 		l.z = nn.Reuse(l.z, g.N, l.w.Val.C)
-		h = l.relu.Forward(nn.MatMulInto(l.z, agg, l.w.Val))
+		h = l.relu.Forward(nn.MatMulInto(l.z, l.agg, l.w.Val))
 	}
 	return h
+}
+
+// RowCache is what SAGE.ForwardDirty keeps of one input between calls:
+// a copy of the features it last encoded and the full output of every
+// layer but the last, for one graph and one draw of the samples. The
+// zero value is empty.
+type RowCache struct {
+	g     *Graph
+	draws int
+	x     *nn.Mat
+	hs    []*nn.Mat
+}
+
+// Reset empties c, so its next ForwardDirty computes every row.
+func (c *RowCache) Reset() { c.g = nil }
+
+// ForwardDirty computes the rows of Forward(g, x) that can differ from
+// the output of the call that last filled c, and fills c for the next
+// call. A node's output row reads only its own input row and its
+// samples' in every layer, and MatMulInto, ReLU and the mean are
+// row-local, so each returned row is bit for bit the row Forward
+// returns. The rows computed are the nodes whose features changed
+// (bitwise) and, layer by layer, every node whose samples include a
+// node computed in the layer below; when c is empty or was filled for
+// another graph, input width or draw of the samples, they are all
+// nodes. It makes Forward's rng draws.
+//
+// out's row k is node rows[k]'s embedding, rows ascending; out is nil
+// when no row needs computing. Both are owned by s and valid until its
+// next ForwardDirty. full reports that every row was computed because
+// c was empty or stale.
+func (s *SAGE) ForwardDirty(c *RowCache, g *Graph, x *nn.Mat) (out *nn.Mat, rows []int, full bool) {
+	s.sync(g, x)
+	full = c.g != g || c.draws != s.draws || c.x.C != x.C
+	if full {
+		c.g, c.draws = g, s.draws
+		c.x = nn.Reuse(c.x, x.R, x.C)
+		if len(c.hs) != len(s.layers)-1 {
+			c.hs = make([]*nn.Mat, len(s.layers)-1)
+		}
+	}
+	s.rows = s.rows[:0]
+	for i := 0; i < g.N; i++ {
+		if xi, ci := x.Row(i), c.x.Row(i); full || !sameBits(xi, ci) {
+			copy(ci, xi)
+			s.rows = append(s.rows, i)
+		}
+	}
+	if len(s.mark) < g.N {
+		s.mark = make([]bool, g.N)
+	}
+	h, last := c.x, len(s.layers)-1
+	for li, l := range s.layers {
+		if len(s.rows) == 0 {
+			return nil, s.rows, full
+		}
+		if !full {
+			// The changed input rows and every node that samples one,
+			// collected in ascending order through the marks.
+			for _, j := range s.rows {
+				s.mark[j] = true
+				for _, i := range l.users[l.userOff[j]:l.userOff[j+1]] {
+					s.mark[i] = true
+				}
+			}
+			s.rows = s.rows[:0]
+			for i, m := range s.mark[:g.N] {
+				if m {
+					s.rows = append(s.rows, i)
+					s.mark[i] = false
+				}
+			}
+		}
+		s.agg = nn.Reuse(s.agg, len(s.rows), h.C)
+		for k, i := range s.rows {
+			l.aggregate(s.agg.Row(k), h, i)
+		}
+		s.z = nn.Reuse(s.z, len(s.rows), l.w.Val.C)
+		out = s.relu.Forward(nn.MatMulInto(s.z, s.agg, l.w.Val))
+		if li == last {
+			break
+		}
+		c.hs[li] = nn.Reuse(c.hs[li], g.N, out.C)
+		for k, i := range s.rows {
+			copy(c.hs[li].Row(i), out.Row(k))
+		}
+		h = c.hs[li]
+	}
+	return out, s.rows, full
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Backward implements Encoder.
@@ -344,11 +502,15 @@ type GAT struct {
 	relus []nn.ReLU
 	g     *Graph
 	ins   []*nn.Mat
-	atts  [][][]float64 // per layer, per node: attention over self+neighbours
-	whs   []*nn.Mat     // transformed features per layer
-	// Per-layer kernel results, reused across calls: the per-call weight
-	// gradient and ∂L/∂H.
-	dws, dxs []*nn.Mat
+	// atts[l][attOff[i]:attOff[i+1]] is layer l's attention of node i
+	// over itself, then its neighbours in Neigh order.
+	atts   [][]float64
+	attOff []int
+	scores []float64 // one node's attention logits
+	whs    []*nn.Mat // transformed features per layer
+	// Per-layer kernel results, reused across calls: the attended sum
+	// before the ReLU, the per-call weight gradient, ∂L/∂(HW) and ∂L/∂H.
+	outs, dws, dWHs, dxs []*nn.Mat
 }
 
 // NewGAT builds a GAT with the given layer dims.
@@ -366,7 +528,10 @@ func NewGAT(rng *rand.Rand, dims ...int) *GAT {
 		g.as = append(g.as, &nn.Param{Name: fmt.Sprintf("gat%d.a", i), Val: a, Grad: nn.NewMat(1, 2*dims[i+1])})
 		g.relus = append(g.relus, nn.ReLU{})
 	}
-	g.whs, g.dws, g.dxs = make([]*nn.Mat, len(g.ws)), make([]*nn.Mat, len(g.ws)), make([]*nn.Mat, len(g.ws))
+	n := len(g.ws)
+	g.atts = make([][]float64, n)
+	g.whs, g.outs = make([]*nn.Mat, n), make([]*nn.Mat, n)
+	g.dws, g.dWHs, g.dxs = make([]*nn.Mat, n), make([]*nn.Mat, n), make([]*nn.Mat, n)
 	return g
 }
 
@@ -386,6 +551,15 @@ func leaky(x float64) float64 {
 	return x
 }
 
+// candidate returns node i's ci-th attention candidate: itself, then
+// its neighbours.
+func candidate(gr *Graph, i, ci int) int {
+	if ci == 0 {
+		return i
+	}
+	return gr.Neigh[i][ci-1]
+}
+
 // Forward implements Encoder.
 func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 	if x.R != gr.N {
@@ -393,42 +567,55 @@ func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 	}
 	g.g = gr
 	g.ins = g.ins[:0]
-	g.atts = g.atts[:0]
+	g.attOff = growInts(g.attOff, gr.N+1)
+	g.attOff[0] = 0
+	for i, neigh := range gr.Neigh {
+		g.attOff[i+1] = g.attOff[i] + len(neigh) + 1
+	}
 	h := x
 	for li := range g.ws {
 		g.ins = append(g.ins, h)
 		w := g.ws[li].Val
 		g.whs[li] = nn.Reuse(g.whs[li], h.R, w.C)
 		wh := nn.MatMulInto(g.whs[li], h, w)
-		out := nn.NewMat(gr.N, wh.C)
-		att := make([][]float64, gr.N)
+		g.outs[li] = nn.Reuse(g.outs[li], gr.N, wh.C)
+		out := g.outs[li]
+		out.Zero()
+		g.atts[li] = grow(g.atts[li], g.attOff[gr.N])
 		avec := g.as[li].Val.Data
 		d := wh.C
 		for i := 0; i < gr.N; i++ {
-			cand := append([]int{i}, gr.Neigh[i]...)
-			scores := make([]float64, len(cand))
-			for ci, j := range cand {
+			alpha := g.atts[li][g.attOff[i]:g.attOff[i+1]]
+			g.scores = grow(g.scores, len(alpha))
+			for ci := range alpha {
+				j := candidate(gr, i, ci)
 				s := 0.0
 				for c := 0; c < d; c++ {
 					s += float64(avec[c] * wh.At(i, c))
 					s += float64(avec[d+c] * wh.At(j, c))
 				}
-				scores[ci] = leaky(s)
+				g.scores[ci] = leaky(s)
 			}
-			alpha := nn.SoftmaxRow(scores, nil)
-			att[i] = alpha
+			nn.SoftmaxRowInto(alpha, g.scores, nil)
 			row := out.Row(i)
-			for ci, j := range cand {
-				a := alpha[ci]
-				for c, v := range wh.Row(j) {
+			for ci, a := range alpha {
+				for c, v := range wh.Row(candidate(gr, i, ci)) {
 					row[c] += float64(a * v)
 				}
 			}
 		}
-		g.atts = append(g.atts, att)
 		h = g.relus[li].Forward(out)
 	}
 	return h
+}
+
+// grow returns buf resliced to n values, reallocating only when its
+// capacity is short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Backward implements Encoder (value path only; attention coefficients
@@ -439,13 +626,13 @@ func (g *GAT) Backward(dOut *nn.Mat) {
 		dz := g.relus[li].Backward(d)
 		wh := g.whs[li]
 		// dWH[j] = sum over i of att_i[j] * dz[i]
-		dWH := nn.NewMat(wh.R, wh.C)
+		g.dWHs[li] = nn.Reuse(g.dWHs[li], wh.R, wh.C)
+		dWH := g.dWHs[li]
+		dWH.Zero()
 		for i := 0; i < g.g.N; i++ {
-			cand := append([]int{i}, g.g.Neigh[i]...)
 			src := dz.Row(i)
-			for ci, j := range cand {
-				a := g.atts[li][i][ci]
-				dst := dWH.Row(j)
+			for ci, a := range g.atts[li][g.attOff[i]:g.attOff[i+1]] {
+				dst := dWH.Row(candidate(g.g, i, ci))
 				for c, v := range src {
 					dst[c] += float64(a * v)
 				}

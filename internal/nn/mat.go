@@ -76,11 +76,16 @@ func tbRow(data []float64, j, kc int) []float64 {
 	return data[j*kc:][:kc:kc]
 }
 
-// Reuse returns m when it is already r×c, otherwise a new zero r×c
-// matrix. A reused m keeps its contents. Layers keep their results in
-// matrices obtained this way, so a steady-state call allocates nothing.
+// Reuse returns m reshaped in place to r×c when its backing array can
+// hold r·c values, otherwise a new zero r×c matrix. A reused m keeps
+// its contents when its shape is unchanged; after a reshape they are
+// unspecified, so callers overwrite every element. Layers keep their
+// results in matrices obtained this way, so a steady-state call
+// allocates nothing, also when the number of rows varies from call to
+// call below the largest seen.
 func Reuse(m *Mat, r, c int) *Mat {
-	if m != nil && m.R == r && m.C == c {
+	if m != nil && r > 0 && c > 0 && r*c <= cap(m.Data) {
+		m.R, m.C, m.Data = r, c, m.Data[:r*c]
 		return m
 	}
 	return NewMat(r, c)

@@ -90,6 +90,9 @@ func TestA2CUpdateIgnoresExtraProbs(t *testing.T) {
 	}
 }
 
+// TestA2CProbsSteadyStateAllocFree covers a warm cache that serves an
+// unchanged input and one that recomputes a few changed rows, in
+// windows of varying size: neither allocates.
 func TestA2CProbsSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := clusterGraph(4, 4)
@@ -98,6 +101,21 @@ func TestA2CProbsSteadyStateAllocFree(t *testing.T) {
 	agent.Probs(g, tr.X, tr.Mask) // size buffers and draw the samples
 	if n := testing.AllocsPerRun(50, func() { agent.Probs(g, tr.X, tr.Mask) }); n != 0 {
 		t.Fatalf("steady-state A2C.Probs allocates %.1f/op, want 0", n)
+	}
+	rows := agent.ActorRows
+	step := 0
+	dirty := func() {
+		step++
+		for k := 0; k <= step%3; k++ {
+			tr.X.Set((5*step+k)%g.N, step%7, float64(step))
+		}
+		agent.Probs(g, tr.X, tr.Mask)
+	}
+	if n := testing.AllocsPerRun(50, dirty); n != 0 {
+		t.Fatalf("A2C.Probs with a few changed rows allocates %.1f/op, want 0", n)
+	}
+	if per := float64(agent.ActorRows-rows) / 51; per == 0 || per >= float64(g.N) {
+		t.Fatalf("%.1f actor rows per inference with up to 3 changed rows of %d, want some but not all", per, g.N)
 	}
 }
 

@@ -31,6 +31,9 @@ const (
 	sacAlpha = 0.05
 	// sacTau is SAC's polyak factor τ for the target networks.
 	sacTau = 0.05
+	// maxProbsCaches bounds A2C.Probs' per-input caches; DCG-BE keeps
+	// one input matrix per BE type, five in the default catalog.
+	maxProbsCaches = 8
 )
 
 // Transition is one step of experience for training.
@@ -60,10 +63,33 @@ type A2C struct {
 	returns, probs []float64
 	pooled, dV     *nn.Mat
 	dLogits, dEmb  *nn.Mat
+
+	// sage is Enc when it is GraphSAGE, whose Probs runs incrementally
+	// over the caches, at most maxProbsCaches, the least recently used
+	// replaced first; clock stamps their use.
+	sage   *gnn.SAGE
+	caches []*probsCache
+	clock  int64
+
+	// WarmHits counts Probs calls served from a warm cache, and
+	// ActorRows the node rows the actor computed, over all Probs calls.
+	WarmHits, ActorRows int64
+}
+
+// probsCache is Probs' state for one input matrix, valid at the
+// parameter version it was filled at: the encoder's cached rows and the
+// actor logit of every node.
+type probsCache struct {
+	x       *nn.Mat
+	version int
+	used    int64
+	enc     gnn.RowCache
+	logits  []float64
 }
 
 // NewA2C builds the agent for embDim-sized encoder outputs.
 func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
+	sage, _ := enc.(*gnn.SAGE)
 	return &A2C{
 		Enc:     enc,
 		Actor:   nn.NewMLP(rng, embDim, 256, 128, 32, 1),
@@ -72,6 +98,7 @@ func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
 		entropy: entropyBonus,
 		opt:     nn.NewAdam(LearningRate),
 		dV:      nn.NewMat(1, 1),
+		sage:    sage,
 	}
 }
 
@@ -85,10 +112,73 @@ func (a *A2C) params() []*nn.Param {
 
 // Probs returns the masked action distribution π(a|s) in a buffer the
 // agent owns, valid until its next Probs or Update.
+//
+// With the GraphSAGE encoder, Probs keeps a cache per input matrix x
+// (by pointer): the features it last saw, the encoder's hidden rows and
+// every node's logit. A caller that rewrites one matrix in place pays
+// only for the nodes the change reaches (SAGE.ForwardDirty), and the
+// actor, which is row-local, runs on just those rows. A cache is
+// dropped when any parameter's Steps has moved since it was filled, so
+// an Update invalidates every cache; a direct write to the weights
+// does not. The result is bit for bit that of a full forward.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
-	logits := a.Actor.Forward(a.Enc.Forward(g, x)).Data // N×1: one logit per node
+	var logits []float64
+	if a.sage == nil {
+		logits = a.Actor.Forward(a.Enc.Forward(g, x)).Data // N×1: one logit per node
+		a.ActorRows += int64(len(logits))
+	} else {
+		c := a.cacheFor(x)
+		emb, rows, full := a.sage.ForwardDirty(&c.enc, g, x)
+		if full {
+			c.logits = grow(c.logits, g.N)
+		} else {
+			a.WarmHits++
+		}
+		if len(rows) > 0 {
+			for k, v := range a.Actor.Forward(emb).Data {
+				c.logits[rows[k]] = v
+			}
+		}
+		a.ActorRows += int64(len(rows))
+		logits = c.logits
+	}
 	a.probs = grow(a.probs, len(logits))
 	return nn.SoftmaxRowInto(a.probs, logits, mask)
+}
+
+// cacheFor returns x's cache, emptied when it is new or was filled at
+// another parameter version.
+func (a *A2C) cacheFor(x *nn.Mat) *probsCache {
+	version := 0
+	for _, p := range a.params() {
+		version += p.Steps
+	}
+	a.clock++
+	var c *probsCache
+	for _, e := range a.caches {
+		if e.x == x {
+			c = e
+			break
+		}
+		if c == nil || e.used < c.used {
+			c = e
+		}
+	}
+	switch {
+	case c != nil && c.x == x:
+	case len(a.caches) < maxProbsCaches:
+		c = &probsCache{x: x}
+		a.caches = append(a.caches, c)
+	default:
+		c.x = x
+		c.enc.Reset()
+	}
+	if c.version != version {
+		c.version = version
+		c.enc.Reset()
+	}
+	c.used = a.clock
+	return c
 }
 
 // Value estimates V(s) from the mean-pooled embedding.
