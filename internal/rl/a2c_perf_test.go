@@ -171,7 +171,8 @@ func BenchmarkA2CUpdateTestbed(b *testing.B) {
 }
 
 // BenchmarkA2CProbsFleet is one DCG-BE inference over the 1170-worker
-// dual-space fleet.
+// dual-space fleet after 25 nodes' state changed, about the average
+// between two picks of one BE type on the fleet-be benchmark workload.
 func BenchmarkA2CProbsFleet(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := clusterGraph(117, 10)
@@ -181,6 +182,9 @@ func BenchmarkA2CProbsFleet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		for k := 0; k < 25; k++ {
+			tr.X.Set(rng.Intn(g.N), rng.Intn(2), rng.Float64())
+		}
 		benchProbs = agent.Probs(g, tr.X, tr.Mask)
 	}
 }

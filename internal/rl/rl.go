@@ -64,12 +64,11 @@ type A2C struct {
 	pooled, dV     *nn.Mat
 	dLogits, dEmb  *nn.Mat
 
-	// sage is Enc when it is GraphSAGE, whose Probs runs incrementally
-	// over the caches, at most maxProbsCaches, the least recently used
-	// replaced first; clock stamps their use.
-	sage   *gnn.SAGE
+	// Probs' per-input caches for the GraphSAGE encoder, at most
+	// maxProbsCaches; once all are taken, a new input replaces them in
+	// turn, evict being the next.
 	caches []*probsCache
-	clock  int64
+	evict  int
 
 	// WarmHits counts Probs calls served from a warm cache, and
 	// ActorRows the node rows the actor computed, over all Probs calls.
@@ -82,14 +81,12 @@ type A2C struct {
 type probsCache struct {
 	x       *nn.Mat
 	version int
-	used    int64
 	enc     gnn.RowCache
 	logits  []float64
 }
 
 // NewA2C builds the agent for embDim-sized encoder outputs.
 func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
-	sage, _ := enc.(*gnn.SAGE)
 	return &A2C{
 		Enc:     enc,
 		Actor:   nn.NewMLP(rng, embDim, 256, 128, 32, 1),
@@ -98,7 +95,6 @@ func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
 		entropy: entropyBonus,
 		opt:     nn.NewAdam(LearningRate),
 		dV:      nn.NewMat(1, 1),
-		sage:    sage,
 	}
 }
 
@@ -123,24 +119,24 @@ func (a *A2C) params() []*nn.Param {
 // does not. The result is bit for bit that of a full forward.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 	var logits []float64
-	if a.sage == nil {
-		logits = a.Actor.Forward(a.Enc.Forward(g, x)).Data // N×1: one logit per node
-		a.ActorRows += int64(len(logits))
-	} else {
+	if sage, ok := a.Enc.(*gnn.SAGE); ok {
 		c := a.cacheFor(x)
-		emb, rows, full := a.sage.ForwardDirty(&c.enc, g, x)
+		emb, rows, full := sage.ForwardDirty(&c.enc, g, x)
 		if full {
 			c.logits = grow(c.logits, g.N)
 		} else {
 			a.WarmHits++
 		}
 		if len(rows) > 0 {
-			for k, v := range a.Actor.Forward(emb).Data {
+			for k, v := range a.Actor.Forward(emb).Data { // one logit per row
 				c.logits[rows[k]] = v
 			}
 		}
 		a.ActorRows += int64(len(rows))
 		logits = c.logits
+	} else {
+		logits = a.Actor.Forward(a.Enc.Forward(g, x)).Data // N×1: one logit per node
+		a.ActorRows += int64(len(logits))
 	}
 	a.probs = grow(a.probs, len(logits))
 	return nn.SoftmaxRowInto(a.probs, logits, mask)
@@ -153,23 +149,21 @@ func (a *A2C) cacheFor(x *nn.Mat) *probsCache {
 	for _, p := range a.params() {
 		version += p.Steps
 	}
-	a.clock++
 	var c *probsCache
 	for _, e := range a.caches {
 		if e.x == x {
 			c = e
 			break
 		}
-		if c == nil || e.used < c.used {
-			c = e
-		}
 	}
-	switch {
-	case c != nil && c.x == x:
-	case len(a.caches) < maxProbsCaches:
-		c = &probsCache{x: x}
-		a.caches = append(a.caches, c)
-	default:
+	if c == nil {
+		if len(a.caches) < maxProbsCaches {
+			c = &probsCache{}
+			a.caches = append(a.caches, c)
+		} else {
+			c = a.caches[a.evict]
+			a.evict = (a.evict + 1) % maxProbsCaches
+		}
 		c.x = x
 		c.enc.Reset()
 	}
@@ -177,7 +171,6 @@ func (a *A2C) cacheFor(x *nn.Mat) *probsCache {
 		c.version = version
 		c.enc.Reset()
 	}
-	c.used = a.clock
 	return c
 }
 
