@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/gnn"
@@ -343,10 +344,7 @@ func (s *Scheduler) record(x *nn.Mat, mask []bool, a int) (topo.NodeID, bool) {
 	s.Decisions++
 	chosen := s.nodes[a]
 	if s.batchTakes(s.picks) {
-		tr := rl.Transition{Graph: s.graph, X: x.Clone(), Action: a}
-		if mask != nil {
-			tr.Mask = append([]bool(nil), mask...)
-		}
+		tr := rl.Transition{Graph: s.graph, X: x.Clone(), Mask: slices.Clone(mask), Action: a}
 		s.pending = append(s.pending, pendingReward{tr: tr, rShort: s.shortReward(chosen)})
 	}
 	s.picks++
