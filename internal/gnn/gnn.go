@@ -266,8 +266,8 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 
 // RowCache is what SAGE.ForwardDirty keeps of one input between calls:
 // a copy of the features it last encoded and the full output of every
-// layer but the last, for one graph and one draw of the samples. The
-// zero value is empty.
+// layer but the last, for one graph and one draw of the samples. A
+// RowCache serves one SAGE; the zero value is empty.
 type RowCache struct {
 	g     *Graph
 	draws int
